@@ -85,7 +85,8 @@ def gamma(z: complex) -> complex:
 
     Uses a fixed published rational-series approximation on Re z >= 1/2 and
     the reflection formula elsewhere.  Raises :class:`GammaPoleError` within
-    1e-12 of a non-positive integer.
+    1e-12 of a non-positive integer and :class:`DomainError` when the value
+    leaves the floating-point range (Re z above about 171.6).
     """
     z = complex(z)
     if abs(z.imag) < 1e-12:
@@ -100,7 +101,18 @@ def gamma(z: complex) -> complex:
     for i in range(1, len(_LANCZOS)):
         acc += _LANCZOS[i] / (zz + i)
     t = zz + _LANCZOS_G + 0.5
-    value = _SQRT_2PI * t ** (zz + 0.5) * cmath.exp(-t) * acc
+    try:
+        value = _SQRT_2PI * t ** (zz + 0.5) * cmath.exp(-t) * acc
+    except OverflowError:
+        # the power alone overflows from Re z ~ 143 on, long before the value
+        # does; split around exp(-t) it stays in range up to Re z ~ 171.6
+        try:
+            half = t ** ((zz + 0.5) / 2.0)
+        except OverflowError:
+            half = complex(math.inf, 0.0)
+        value = _SQRT_2PI * half * cmath.exp(-t) * half * acc
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise DomainError(f"gamma({z}) exceeds the floating-point range") from None
     if z.imag == 0.0:
         return complex(value.real, 0.0)
     return value

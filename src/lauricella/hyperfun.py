@@ -10,6 +10,17 @@ representation
 which also defines the continuation onto the cut [1, inf) as a side limit:
 ``side=BELOW`` is the limit from Im x < 0, in which case the vanishing factor
 (1 - x u) crosses the negative axis from above (argument +pi).
+
+The integrand is specialized per panel when an evaluation starts.  The splits
+1/x of the arguments on the cut bound the panels, and on each panel every
+factor's form is fixed in advance: the exact distance for the factors singular
+at the panel's ends, 1 - x u or x u - 1 for the other cut factors, and one
+constant phase for the cut factors past their split.  A sample is then one sum
+of logarithms and one exponential.  It stays in real arithmetic when a, c and
+every b are real and every argument off the cut is either real and below 1 or
+one of an exact conjugate pair with equal b, which is folded into the single
+real factor |1 - x u|**(-2b).  Otherwise only the remaining factors go through
+cmath.log, and one cmath.exp finishes the sample.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ __all__ = [
 DEFAULT_QUAD_TOL = 1e-11
 _SERIES_RADIUS = 0.9
 _MAX_TERMS = 100_000
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -120,6 +132,10 @@ def _appell_series(a, b1, b2, c, x1, x2) -> complex:
 # ---------------------------------------------------------------------------
 # Euler-integral evaluation
 
+def _real_if_real(z: complex) -> complex | float:
+    return z.real if z.imag == 0.0 else z
+
+
 def _euler_integrand(
     a: complex,
     bs: Sequence[complex],
@@ -127,57 +143,80 @@ def _euler_integrand(
     xs: Sequence[complex],
     side: BranchSide,
 ) -> IntegrandSpec:
-    """Distance-aware integrand u**(a-1) (1-u)**(c-a-1) prod (1-x u)**(-b)."""
-    am1 = a - 1.0
-    cam1 = c - a - 1.0
-    base_arg = math.pi if side is BranchSide.BELOW else -math.pi  # arg of 1-xu past the split
+    """Distance-aware integrand u**(a-1) (1-u)**(c-a-1) prod (1-x u)**(-b).
 
-    cut: list[tuple[float, complex, complex]] = []    # (split, x_re, -b)
-    plain: list[tuple[complex, complex]] = []         # (x, -b)
+    The splits 1/x of the cut arguments cut [0, 1] into panels, and each panel
+    gets its own closure with every factor's form fixed in advance (see
+    `_real_panel`).  The distance evaluator either is the one panel's
+    closure or dispatches on the node's panel midpoint: u itself may have
+    rounded onto a shared boundary, the midpoint never does.
+    """
+    am1 = _real_if_real(a - 1.0)
+    cam1 = _real_if_real(c - a - 1.0)
+    arg = math.pi if side is BranchSide.BELOW else -math.pi  # arg of 1-xu past the split
+
+    cut: list[tuple[float, float, complex | float]] = []   # (split, Re x, -b)
+    lines: list[tuple[complex | float, float, float]] = []  # (-b, 1, -x): real x < 1
+    pairs: list[tuple[float, float, float]] = []           # (-b, Re x, Im x): x with its conjugate
+    unpaired: list[tuple[complex, complex]] = []           # (b, x)
     for b, x in zip(bs, xs):
         if _on_cut(x):
-            cut.append((1.0 / x.real, x.real, -b))
+            cut.append((1.0 / x.real, x.real, _real_if_real(-b)))
+        elif x.imag == 0.0 and x.real < 1.0:
+            lines.append((_real_if_real(-b), 1.0, -x.real))
+        elif x.imag != 0.0 and b.imag == 0.0 and (b, x.conjugate()) in unpaired:
+            # (1-xu)**(-b) (1-x'u)**(-b) = |1-xu|**(-2b) for x' = conj(x), real b
+            unpaired.remove((b, x.conjugate()))
+            pairs.append((-b.real, x.real, x.imag))
         else:
-            plain.append((x, -b))
-    splits = tuple(sorted(s for s, _, _ in cut if 0.0 < s < 1.0))
+            unpaired.append((b, x))
+    rest = [(_real_if_real(-b), x) for b, x in unpaired]
+    splits = tuple(sorted(s for s, _, _ in cut))
     boundaries = (0.0,) + splits + (1.0,)
-    # phase of (negative base)**exponent for each cut factor
-    phases = {s: cmath.exp(1j * base_arg * e) for s, _, e in cut}
 
-    am1_real = am1.imag == 0.0
-    cam1_real = cam1.imag == 0.0
-
-    def g(u: float, d_lo: float, d_hi: float) -> complex:
-        # locate the panel via its midpoint: u itself may have rounded onto a
-        # shared boundary, the midpoint never does
-        mid = u + 0.5 * (d_hi - d_lo)
-        i = min(max(bisect_right(boundaries, mid), 1), len(boundaries) - 1)
-        p_lo, p_hi = boundaries[i - 1], boundaries[i]
-        val: complex = 1.0 + 0.0j
-
-        base = d_lo if p_lo == 0.0 else u
-        if am1 != 0.0:
-            val *= math.pow(base, am1.real) if am1_real else cmath.exp(am1 * math.log(base))
-        base = d_hi if p_hi == 1.0 else 1.0 - u
-        if cam1 != 0.0:
-            val *= math.pow(base, cam1.real) if cam1_real else cmath.exp(cam1 * math.log(base))
-
+    pieces = []
+    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
+        # the factors singular at this panel's ends take the exact distances
+        e_lo, k_lo, e_hi, k_hi = am1, 1.0, cam1, 1.0
+        panel_lines = list(lines)
+        if lo > 0.0:
+            panel_lines.append((am1, 0.0, 1.0))      # u
+        if hi < 1.0:
+            panel_lines.append((cam1, 1.0, -1.0))    # 1 - u
+        past = 0.0                                   # sum of -b over factors past their split
         for s, x_re, e in cut:
-            if s >= p_hi:
-                mag = x_re * d_hi if s == p_hi else 1.0 - x_re * u
-                neg = False
+            if s == lo:
+                e_lo, k_lo = e, x_re
+            elif s == hi:
+                e_hi, k_hi = e, x_re
+            elif s > hi:
+                panel_lines.append((e, 1.0, -x_re))  # 1 - x u
             else:
-                mag = x_re * d_lo if s == p_lo else x_re * u - 1.0
-                neg = True
-            piece = math.pow(mag, e.real) if e.imag == 0.0 else cmath.exp(e * math.log(mag))
-            val *= piece * phases[s] if neg else piece
-        for x, e in plain:
-            val *= cmath.exp(e * cmath.log(1.0 - x * u))
-        return val
+                panel_lines.append((e, -1.0, x_re))  # x u - 1
+            if s <= lo:
+                past += e
+        panel_lines = [term for term in panel_lines if term[0] != 0.0]
+        exponents = (e_lo, e_hi, *(term[0] for term in panel_lines))
+        phase_log = 1j * arg * past if past != 0.0 else 0.0
+        if not rest and all(isinstance(e, float) for e in exponents):
+            phase = cmath.exp(phase_log) if phase_log else 1.0
+            g = _real_panel(e_lo, k_lo, e_hi, k_hi, panel_lines, pairs, phase)
+        else:
+            g = _complex_panel(e_lo, k_lo, e_hi, k_hi, panel_lines, pairs, rest, phase_log)
+        pieces.append((lo, hi, g))
+
+    padded = [pieces[0], *pieces, pieces[-1]]   # bisect_right index -> panel
+    if len(pieces) == 1:
+        g = pieces[0][2]
+    else:
+        table = [piece[2] for piece in padded]
+
+        def g(u: float, d_lo: float, d_hi: float) -> complex:
+            return table[bisect_right(boundaries, u + 0.5 * (d_hi - d_lo))](u, d_lo, d_hi)
 
     def f(u: float) -> complex:
-        i = min(max(bisect_right(boundaries, u), 1), len(boundaries) - 1)
-        return g(u, u - boundaries[i - 1], boundaries[i] - u)
+        lo, hi, _ = padded[bisect_right(boundaries, u)]
+        return g(u, u - lo, hi - u)
 
     return IntegrandSpec(
         evaluator=f,
@@ -185,6 +224,53 @@ def _euler_integrand(
         endpoint_exponents=(max(am1.real, -0.999), max(cam1.real, -0.999)),
         distance_evaluator=g,
     )
+
+
+# A panel's integrand is exp of a sum of exponent * log(magnitude) terms: the
+# magnitudes are k_lo d_lo and k_hi d_hi at the panel ends, k0 + k1 u for each
+# line term and |1 - x u|**2 for each conjugate pair, all positive reals, and
+# 1 - x u under the complex logarithm for the rest.  The real sum is kept in
+# base 2: math.log2 costs about a third of math.log on CPython 3.11, whose
+# math.log parses an optional base argument.
+
+def _real_panel(e_lo, k_lo, e_hi, k_hi, lines, pairs, phase):
+    """Real exponents and no complex logarithm: 2**(log2 sum) * fixed phase."""
+    log2 = math.log2
+
+    def g(u: float, d_lo: float, d_hi: float) -> complex:
+        t = e_lo * log2(k_lo * d_lo) + e_hi * log2(k_hi * d_hi)
+        for e, k0, k1 in lines:
+            t += e * log2(k0 + k1 * u)
+        for e, x_re, x_im in pairs:
+            w = 1.0 - x_re * u
+            z = x_im * u
+            t += e * log2(w * w + z * z)
+        return 2.0 ** t * phase
+
+    return g
+
+
+def _complex_panel(e_lo, k_lo, e_hi, k_hi, lines, pairs, rest, phase_log):
+    """General case: one cmath.exp of the log sum plus the fixed phase."""
+    log2 = math.log2
+    clog = cmath.log
+    cexp = cmath.exp
+
+    def g(u: float, d_lo: float, d_hi: float) -> complex:
+        # the real sum as in _real_panel, inline: a shared helper costs a call per sample
+        t = e_lo * log2(k_lo * d_lo) + e_hi * log2(k_hi * d_hi)
+        for e, k0, k1 in lines:
+            t += e * log2(k0 + k1 * u)
+        for e, x_re, x_im in pairs:
+            w = 1.0 - x_re * u
+            z = x_im * u
+            t += e * log2(w * w + z * z)
+        t = t * _LN2 + phase_log
+        for e, x in rest:
+            t += e * clog(1.0 - x * u)
+        return cexp(t)
+
+    return g
 
 
 def _euler_fd(

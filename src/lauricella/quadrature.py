@@ -11,6 +11,12 @@ accuracy near 1e-8 for (b-x)**beta behaviour.  Integrands that need the
 full 1e-11 therefore receive the node's distance to both panel endpoints,
 computed in the t-domain to full relative precision, via
 ``IntegrandSpec.distance_evaluator``.
+
+Samples may be float or complex and are used as returned.  Each one must be
+finite: the panel loop tests the weighted term once per node (the sum of its
+real and imaginary parts is finite) and re-checks the raw sample only when
+that test fails, so a non-finite sample raises :class:`QuadratureError` at the
+node that produced it, while a finite sample whose term overflows does not.
 """
 
 from __future__ import annotations
@@ -144,6 +150,7 @@ def _integrate_panel(
     value = 0.0 + 0.0j
     err = math.inf
     collided_lo = collided_hi = False
+    isfinite = math.isfinite
     for level in range(MAX_LEVEL + 1):
         h = 0.5 ** level
         scale = span * h
@@ -163,11 +170,15 @@ def _integrate_panel(
                     else:
                         collided_hi = True
                     continue
-            sample = complex(g(x, d_lo, d_hi))
+            sample = g(x, d_lo, d_hi)
             evaluations += 1
-            if not (math.isfinite(sample.real) and math.isfinite(sample.imag)):
-                raise QuadratureError(f"non-finite integrand sample at x = {x}")
             term = weight * sample
+            # an inf or nan part of the sample makes this sum non-finite; a
+            # sum that merely overflows is caught by re-checking the sample
+            if not isfinite(term.real + term.imag) and not (
+                isfinite(sample.real) and isfinite(sample.imag)
+            ):
+                raise QuadratureError(f"non-finite integrand sample at x = {x}")
             level_sum += term
             # Nodes are generated outward within a level; once contributions
             # are far below tolerance the remaining tail cannot matter.

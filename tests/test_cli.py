@@ -64,6 +64,15 @@ class TestEval:
         assert code == 3
         assert "divergence boundary" in capsys.readouterr().err
 
+    def test_large_gamma_arguments_print_or_exit_3(self, capsys):
+        # Gamma(170.5) and Gamma(171) are finite, but their power term overflows
+        code = main(["eval", "2f1", "--a", "170.5", "--b", "0.5", "--c", "171", "--x", "2"])
+        out = capsys.readouterr().out.splitlines()
+        assert code in (0, 3)
+        if code == 0:
+            assert out[0].endswith("i")
+            assert out[1].startswith("error estimate:")
+
 
 class TestVerifyCommand:
     def test_kummer_json_roundtrip(self, capsys):

@@ -70,6 +70,28 @@ class TestGamma:
             want = complex(mpmath.gamma(mpmath.mpc(z)))
             assert abs(gamma(z) - want) <= 1e-13 * abs(want), z
 
+    @pytest.mark.parametrize("x", [151.5, 160.25, 170.5, 171.6, -150.5, -170.5])
+    def test_large_arguments_within_float_range(self, x):
+        # the power t**(z - 1/2) overflows here although the value does not
+        assert gamma(x).real == pytest.approx(math.gamma(x), rel=1e-14)
+
+    @pytest.mark.parametrize("x", [171.7, 200.0, 1e5])
+    def test_value_beyond_float_range_is_domain_error(self, x):
+        with pytest.raises(DomainError, match="floating-point range"):
+            gamma(x)
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(
+        st.floats(min_value=130.0, max_value=400.0),
+        st.sampled_from([0.0, 0.5, -3.0, 40.0, -250.0]),
+    )
+    def test_large_arguments_never_overflow_bare(self, re, im):
+        try:
+            value = gamma(complex(re, im))
+        except DomainError:
+            return
+        assert math.isfinite(value.real) and math.isfinite(value.imag)
+
 
 class TestPochhammer:
     def test_empty_product(self):

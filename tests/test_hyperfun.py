@@ -2,6 +2,8 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lauricella import (
     BranchSide,
@@ -16,8 +18,13 @@ from lauricella import (
     hyp2f1_series,
     lauricella_fd,
     pfaff_f1,
+    principal_pow,
+    representation_formulas_check,
     unit_partition_roots,
+    verify_all,
 )
+from lauricella import hyperfun
+from lauricella.reductions import check_all_reductions
 
 import helpers_properties as props
 
@@ -281,3 +288,126 @@ class TestEulerianClosedForms:
             eulerian_a(3, -1.0, 0.5)
         with pytest.raises(DomainError):
             eulerian_b(2, 3.0, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the per-panel Euler integrand against an independent product of powers
+
+_B = st.floats(-1.5, 1.5)
+_FACTOR_KINDS = (
+    "real", "complex", "pair", "pair_unequal_b", "pair_complex_b", "near_pair", "cut", "cut_complex_b",
+)
+
+
+@st.composite
+def _euler_cases(draw):
+    complex_ac = draw(st.booleans())
+    a = complex(draw(st.floats(0.2, 2.5)), draw(st.floats(-0.8, 0.8)) if complex_ac else 0.0)
+    c = a + complex(draw(st.floats(0.2, 2.5)), draw(st.floats(-0.8, 0.8)) if complex_ac else 0.0)
+    kinds = draw(st.lists(st.sampled_from(_FACTOR_KINDS), min_size=1, max_size=4))
+    cut_xs = iter(draw(st.lists(st.floats(1.05, 8.0), min_size=len(kinds), max_size=len(kinds),
+                                unique_by=lambda x: 1.0 / x)))
+    bs: list[complex] = []
+    xs: list[complex] = []
+    for kind in kinds:
+        b = complex(draw(_B))
+        b_im = complex(0.0, draw(st.floats(0.05, 0.8)))
+        x = complex(draw(st.floats(-4.0, 4.0)), draw(st.floats(0.05, 3.0)) * draw(st.sampled_from((1, -1))))
+        if kind == "real":
+            xs.append(complex(draw(st.floats(-5.0, 0.95))))
+            bs.append(b)
+        elif kind == "complex":
+            bs.append(b + b_im if draw(st.booleans()) else b)
+            xs.append(x)
+        elif kind.startswith("pair"):
+            b2 = {"pair": b, "pair_unequal_b": b + 0.25, "pair_complex_b": b + b_im}[kind]
+            if kind == "pair_complex_b":
+                b = b2
+            bs += [b, b2]
+            xs += [x, x.conjugate()]
+        elif kind == "near_pair":
+            bs += [b, b]
+            xs += [x, complex(x.real, math.nextafter(-x.imag, 0.0))]
+        else:
+            bs.append(b + b_im if kind == "cut_complex_b" else b)
+            xs.append(complex(next(cut_xs)))
+    side = draw(st.sampled_from(list(BranchSide)))
+    splits = sorted(1.0 / x.real for x in xs if x.imag == 0.0 and x.real > 1.0)
+    boundaries = [0.0] + splits + [1.0]
+    panel = draw(st.integers(0, len(boundaries) - 2))
+    lo, hi = boundaries[panel], boundaries[panel + 1]
+    span = hi - lo
+    where = draw(st.sampled_from(("inside", "at_lo", "at_hi")))
+    if where == "inside":
+        d_lo = span * draw(st.floats(0.01, 0.99))
+        d_hi, u = span - d_lo, lo + d_lo
+    elif where == "at_lo":
+        # the coordinate rounds onto the panel end; only d_lo is exact
+        d_lo = span * 10.0 ** -draw(st.integers(17, 30))
+        d_hi, u = span - d_lo, lo + d_lo
+    else:
+        d_hi = span * 10.0 ** -draw(st.integers(17, 30))
+        d_lo, u = span - d_hi, hi - d_hi
+    real = not complex_ac and set(kinds) <= {"real", "pair", "cut"}
+    return a, bs, c, xs, side, tuple(splits), (lo, hi, u, d_lo, d_hi), real
+
+
+def _reference_integrand(a, bs, c, xs, side, lo, hi, u, d_lo, d_hi):
+    """u**(a-1) (1-u)**(c-a-1) prod (1-x u)**(-b), factor by factor."""
+    value = principal_pow(d_lo if lo == 0.0 else u, a - 1.0)
+    value *= principal_pow(d_hi if hi == 1.0 else 1.0 - u, c - a - 1.0)
+    for b, x in zip(bs, xs):
+        if x.imag == 0.0 and x.real > 1.0:
+            split = 1.0 / x.real
+            if split == hi:
+                base = x.real * d_hi
+            elif split == lo:
+                base = -x.real * d_lo
+            else:
+                base = 1.0 - x.real * u
+            value *= principal_pow(abs(base), -b)
+            if base < 0.0:
+                # past the split: the side limit puts arg(1 - x u) at +pi below, -pi above
+                value *= cmath.exp(1j * (math.pi if side is BranchSide.BELOW else -math.pi) * -b)
+        else:
+            value *= principal_pow(1.0 - x * u, -b)
+    return value
+
+
+class TestEulerIntegrand:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_euler_cases())
+    def test_panel_closures_match_reference_product(self, case):
+        a, bs, c, xs, side, splits, (lo, hi, u, d_lo, d_hi), real = case
+        spec = hyperfun._euler_integrand(a, bs, c, xs, side)
+        assert spec.interior_singularities == splits
+        want = _reference_integrand(a, bs, c, xs, side, lo, hi, u, d_lo, d_hi)
+        got = spec.distance_evaluator(u, d_lo, d_hi)
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+        if real and lo == 0.0:
+            assert isinstance(got, float)  # the real path, on a panel with no phase
+        if lo < u < hi and min(d_lo, d_hi) > 1e-3 * (hi - lo):
+            # the plain evaluator finds the panel from u alone
+            assert spec.evaluator(u) == pytest.approx(want, rel=1e-12)
+
+
+def test_euler_evaluation_count_is_pinned(monkeypatch):
+    """One catalog pass takes exactly the seed's Euler-integrand evaluations.
+
+    The count is set by the quadrature rule's nodes and stopping decisions
+    alone; a change that moves it on purpose updates this pin and says why.
+    """
+    total = 0
+    integrate = hyperfun.integrate
+
+    def counting(*args, **kwargs):
+        nonlocal total
+        result = integrate(*args, **kwargs)
+        total += result.evaluations
+        return result
+
+    monkeypatch.setattr(hyperfun, "integrate", counting)
+    verify_all()
+    check_all_reductions()
+    representation_formulas_check()
+    assert total == 13_259
