@@ -162,6 +162,10 @@ def roots_of_unity(n: int) -> list[complex]:
         raise DomainError(f"need n >= 2, got {n}")
     out = []
     for k in range(1, n):
+        if 2 * k > n:
+            # root n - k is already out[n - k - 1]: an exact conjugate pair
+            out.append(out[n - k - 1].conjugate())
+            continue
         angle = 2.0 * math.pi * k / n
         out.append(complex(_snap(math.cos(angle)), _snap(math.sin(angle))))
     return out
@@ -180,6 +184,10 @@ def unit_partition_roots(n: int) -> list[complex]:
     out = []
     for k in range(1, n + 1):
         if k == skip:
+            continue
+        if 2 * k - 1 > n:
+            # index n + 1 - k is already out[n - k] (it precedes any skipped index)
+            out.append(out[n - k].conjugate())
             continue
         angle = (2 * k - 1) * math.pi / n
         out.append(complex(1.0 + _snap(math.cos(angle)), _snap(math.sin(angle))))

@@ -64,6 +64,11 @@ class TestEval:
         assert code == 3
         assert "divergence boundary" in capsys.readouterr().err
 
+    def test_non_positive_integer_c_is_exit_3(self, capsys):
+        code = main(["eval", "2f1", "--a", "1", "--b", "1", "--c", "-1", "--x", "0.5"])
+        assert code == 3
+        assert "non-positive integer" in capsys.readouterr().err
+
     def test_large_gamma_arguments_print_or_exit_3(self, capsys):
         # Gamma(170.5) and Gamma(171) are finite, but their power term overflows
         code = main(["eval", "2f1", "--a", "170.5", "--b", "0.5", "--c", "171", "--x", "2"])

@@ -188,6 +188,17 @@ class TestRootFamilies:
             scale = max(1.0, abs(alpha) ** n + abs(1.0 - alpha) ** n)
             assert abs(alpha ** n + (1.0 - alpha) ** n) < 1e-12 * scale
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_twins_are_exact_conjugates(self, n):
+        # the Euler integrand folds a pair (x, conj x) with equal b only when it is exact
+        w = roots_of_unity(n)  # w[k - 1] is root k
+        for k in range(1, n):
+            assert w[n - k - 1] == w[k - 1].conjugate()
+        by_index = [k for k in range(1, n + 1) if 2 * k - 1 != n]
+        roots = dict(zip(by_index, unit_partition_roots(n)))
+        for k, x in roots.items():
+            assert roots[n + 1 - k] == x.conjugate()
+
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
             roots_of_unity(1)

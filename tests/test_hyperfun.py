@@ -85,6 +85,10 @@ class TestGaussContinuation:
         with pytest.raises(DomainError):
             hyp2f1(0.5, 0.5, 1.5, 1.0)
 
+    def test_non_positive_integer_c_rejected(self):
+        with pytest.raises(DomainError):
+            hyp2f1(1.0, 1.0, -1.0, 0.5)
+
     def test_parameter_order_fallback(self):
         # (1/2, 1; 2 | 2): only the swapped order gives an integrable split
         got = hyp2f1(0.5, 1.0, 2.0, 2.0)
@@ -149,6 +153,10 @@ class TestAppell:
 
     def test_zero_a(self):
         assert appell_f1(0.0, 1.0, 1.0, 2.0, 0.3, 0.4) == pytest.approx(1.0, rel=1e-14)
+
+    def test_non_positive_integer_c_rejected(self):
+        with pytest.raises(DomainError):
+            appell_f1(1.0, 1.0, 1.0, -2.0, 0.5, 0.3)
 
     def test_negative_pair_value(self):
         got = appell_f1(2 / 3, 0.5, 0.5, 5 / 3, -2.0, -8.0)
@@ -216,6 +224,17 @@ class TestLauricella:
     def test_argument_one_rejected(self):
         with pytest.raises(DomainError):
             lauricella_fd(HyperSpec(1.0, (0.5,) * 3, 2.0, (0.3, 1.0, 0.4)))
+
+    def test_equal_cut_arguments_merge(self):
+        # the two factors at x = 2 are one, (1 - 2u)**(-1/2): F1(1/2; 1/2, 1/4; 3/2 | 2 - i0, 1/2)
+        got = lauricella_fd(HyperSpec(0.5, (0.25,) * 3, 1.5, (2.0, 2.0, 0.5)))
+        want = 1.150273935889876 - 0.689047987259899j  # mpmath.appellf1 at x1 = 2 - 1e-25 i
+        assert abs(got - want) <= 1e-11 * abs(want)
+
+    def test_equal_cut_arguments_non_integrable(self):
+        # each Re b is below 1, their sum 1.2 at the shared split is not
+        with pytest.raises(DomainError):
+            lauricella_fd(HyperSpec(0.5, (0.6, 0.6, 0.25), 1.5, (2.0, 2.0, 0.5)))
 
     def test_collapse_suite(self):
         assert props.run_collapse() >= 50
@@ -288,6 +307,124 @@ class TestEulerianClosedForms:
             eulerian_a(3, -1.0, 0.5)
         with pytest.raises(DomainError):
             eulerian_b(2, 3.0, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the total-degree F1 series against the row-by-row double sum
+
+def _row_sum_f1(a, b1, b2, c, x1, x2):
+    """sum_m1 (a)_m1 (b1)_m1 / ((c)_m1 m1!) x1**m1 2F1(a+m1, b2; c+m1 | x2), row by row.
+
+    Returns the value and the sum of the magnitudes of all its terms, the
+    scale of the rounding error of either way of summing.
+    """
+    total, scale = 0j, 0.0
+    row = complex(1.0)
+    small = 0
+    for m1 in range(2000):
+        inner = term = complex(1.0)
+        inner_scale = 1.0
+        inner_small = 0
+        for m2 in range(100_000):
+            term = term * (a + m1 + m2) * (b2 + m2) / ((c + m1 + m2) * (1 + m2)) * x2
+            inner += term
+            inner_scale += abs(term)
+            if abs(term) < 1e-16 * abs(inner):
+                inner_small += 1
+                if inner_small >= 2:
+                    break
+            else:
+                inner_small = 0
+        contribution = row * inner
+        total += contribution
+        scale += abs(row) * inner_scale
+        if abs(contribution) < 1e-16 * abs(total):
+            small += 1
+            if small >= 2:
+                return total, scale
+        else:
+            small = 0
+        row = row * (a + m1) * (b1 + m1) / ((c + m1) * (1 + m1)) * x1
+    raise AssertionError("reference row sum did not converge")
+
+
+_F1_KINDS = ("generic", "b_zero", "b_non_positive_int", "b_tiny", "opposite", "equal", "terminating")
+
+
+@st.composite
+def _f1_series_cases(draw):
+    kind = draw(st.sampled_from(_F1_KINDS))
+    complex_params = draw(st.booleans())
+
+    def param(lo, hi):
+        return complex(draw(st.floats(lo, hi)), draw(st.floats(-1.0, 1.0)) if complex_params else 0.0)
+
+    def argument(radius):
+        theta = draw(st.one_of(st.floats(-math.pi, math.pi), st.sampled_from((0.0, math.pi))))
+        return radius * cmath.exp(1j * theta)
+
+    a, b1, b2, c = param(-4.0, 4.0), param(-3.0, 3.0), param(-3.0, 3.0), param(0.3, 4.0)
+    r1 = draw(st.floats(0.0, 0.8))
+    x1, x2 = argument(r1), argument(draw(st.floats(0.0, 0.8)))
+    if kind in ("b_zero", "b_non_positive_int", "b_tiny"):
+        # with this b1, p_n is the recessive solution of the recurrence when x1 is
+        # the larger argument: p_n has no x1**n growth, the other solution has
+        b1 = {"b_zero": 0j, "b_non_positive_int": complex(draw(st.integers(-3, 0))), "b_tiny": 1e-9 + 0j}[kind]
+        if draw(st.booleans()):
+            x2 = argument(r1 * draw(st.floats(0.0, 0.99)))
+    elif kind == "opposite":
+        x2 = -x1
+        if draw(st.booleans()):
+            b2 = b1  # p_n = 0 at every odd n
+    elif kind == "equal":
+        x2 = x1
+    elif kind == "terminating":
+        a = complex(draw(st.sampled_from((0, -1, -2))))
+    if draw(st.booleans()):
+        b1, b2, x1, x2 = b2, b1, x2, x1
+    return a, b1, b2, c, x1, x2
+
+
+# (a, b1, b2, c, x1, x2, F1) with max |x| in [0.85, 0.9]: the value is
+# mpmath.appellf1 at 30 digits, frozen because mpmath itself sums a slow double
+# series there (up to seconds per point)
+_F1_EDGE_POINTS = [
+    (0.5, 0.5, 0.5, 1.5, 0.89, 0.89, (1.8741562839645822+0j)),
+    (-1.939, -0.321, 0.552, 0.692, 0.898, 0.063, (1.5585527116742692+0j)),
+    (1.558, 1.445, -1.401, 0.763, (-0.101-0.847j), (0.65+0.107j), (-0.41461058099174863+0.2243428498063263j)),
+    (-0.975, -1.146, 0.811, 1.942, -0.867, -0.529, (0.717171955756066+0j)),
+    (-0.04, -0.76, 0.672, 1.952, (0.454+0.743j), (-0.051-0.017j), (1.0074369436679684+0.012032686087163999j)),
+    (-1.101, -1.057, 0.888, 0.75, -0.852, 0.423, (-0.8231490813918129+0j)),
+    (2.342, -0.845, 0.89, 2.093, (-0.307-0.832j), (-0.111-0.566j), (1.2077091465702796+0.06981544603912872j)),
+    (-1.793, -0.497, -0.312, 1.274, -0.898, 0.858, (0.6010407163330559+0j)),
+    (2.968, -0.581, -0.971, 2.454, (0.845+0.25j), (-0.505-0.337j), (0.5904704136314783-0.4629113297255821j)),
+    (-1.036, 0.304, 0.586, 2.795, 0.883, -0.387, (0.9852060552091804+0j)),
+    (-0.472, 1.155, -1.158, 2.582, (0.433-0.743j), (-0.346-0.109j), (0.8488253849962649+0.16265938404152985j)),
+    (1.57, 1.119, 0.411, 1.096, 0.86, -0.608, (18.778094217106176+0j)),
+    (2.951, -1.326, 0.335, 0.795, (-0.56+0.673j), (0.882-0.054j), (2.7285040469642414-127.95955987941501j)),
+    (0.953, -0.044, 0.892, 2.622, -0.899, 0.482, (1.2277128033111218+0j)),
+    (-0.726, 1.455, -0.454, 2.39, (0.602-0.601j), (-0.114-0.227j), (0.724418193745515+0.27040496999009933j)),
+    (-1.775, 1.096, -1.35, 0.725, 0.889, 0.804, (1.2789866396336047+0j)),
+    (2.333, 0.163, 0.176, 2.192, (0.22+0.848j), (-0.065-0.448j), (0.9447615343150348+0.06458128460453764j)),
+    (-1.027, -0.575, 0.958, 1.998, -0.857, -0.678, (1.0806824440829004+0j)),
+    (1.916, 1.328, 0.57, 2.337, (-0.442-0.76j), (-0.564-0.521j), (0.3596230369036911-0.2947168721521545j)),
+    (0.124, -0.358, -0.578, 0.766, -0.895, -0.347, (1.0812230324947134+0j)),
+]
+
+
+class TestAppellSeries:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_f1_series_cases())
+    def test_total_degree_sum_matches_row_sum(self, case):
+        got = hyperfun._appell_series(*case)
+        want, scale = _row_sum_f1(*case)
+        assert abs(got - want) <= 1e-12 * scale, (got, want, scale)
+
+    @pytest.mark.parametrize("point", _F1_EDGE_POINTS)
+    def test_against_mpmath_near_the_polydisk_edge(self, point):
+        *args, want = point
+        got = appell_f1(*args)
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
 # ---------------------------------------------------------------------------
