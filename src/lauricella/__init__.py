@@ -4,6 +4,11 @@ Evaluates Gauss 2F1, Appell F1 and Lauricella FD functions (including their
 analytic continuations), complete and incomplete elliptic integrals and the
 Gamma function, and uses them to machine-check a catalog of closed-form
 identities and hyperelliptic-integral reductions.
+
+``import lauricella`` loads only the evaluation stack (core, quadrature,
+hyperfun, elliptic).  The catalog modules (identities, reductions, catalog)
+load on first use of one of their names, so a single evaluation does not pay
+for importing them.
 """
 
 from .core import (
@@ -29,7 +34,6 @@ from .hyperfun import (
     lauricella_fd,
     pfaff_f1,
 )
-from .identities import EvalReport, IdentityRecord, registry, verify, verify_all
 from .quadrature import (
     IntegrandSpec,
     QuadratureError,
@@ -37,14 +41,21 @@ from .quadrature import (
     integrate,
     integrate_semi_infinite,
 )
-from .reductions import (
-    ReductionRecord,
-    check_reduction,
-    reduction_registry,
-    representation_formulas_check,
-)
 
 __version__ = "0.1.0"
+
+# public names of the catalog modules, resolved on first access
+_LAZY = {
+    "EvalReport": "identities",
+    "IdentityRecord": "identities",
+    "registry": "identities",
+    "verify": "identities",
+    "verify_all": "identities",
+    "ReductionRecord": "reductions",
+    "check_reduction": "reductions",
+    "reduction_registry": "reductions",
+    "representation_formulas_check": "reductions",
+}
 
 __all__ = [
     "BranchSide",
@@ -83,3 +94,20 @@ __all__ = [
     "verify",
     "verify_all",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        # an AttributeError lets `from lauricella import <submodule>` fall back
+        # to importing the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

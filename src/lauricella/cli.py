@@ -7,18 +7,15 @@ Exit codes: 0 success, 1 verification failures, 2 argument errors,
 from __future__ import annotations
 
 import argparse
-import fnmatch
-import json
-import math
-import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .core import BranchSide, DomainError, GammaPoleError
 from .hyperfun import DEFAULT_QUAD_TOL, HyperSpec, appell_f1, hyp2f1, lauricella_fd
-from .identities import EvalReport, verify_all
 from .quadrature import QuadratureError
-from .reductions import check_all_reductions, representation_formulas_check
+
+if TYPE_CHECKING:
+    from .identities import EvalReport
 
 _EVAL_ERRORS = (DomainError, GammaPoleError, QuadratureError, KeyError, ValueError)
 
@@ -57,15 +54,9 @@ def _format_value(value: complex) -> str:
     return f"{value.real:.15g} {sign} {abs(value.imag):.15g}i"
 
 
-def _threads() -> int:
-    raw = os.environ.get("HYPER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _report_json(reports: list[EvalReport]) -> str:
+    import json
+
     rows = []
     for r in reports:
         rows.append({
@@ -143,16 +134,25 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+# the catalog modules load only in the commands that run them, so that
+# `lauricella eval` imports just the evaluation stack
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .identities import verify_all
+
     quad_tol = args.quad_tol
     if args.tol is not None:
         quad_tol = min(quad_tol, args.tol / 10.0)
-    reports = verify_all(args.filter, args.tol, quad_tol, max_workers=_threads())
+    reports = verify_all(args.filter, args.tol, quad_tol)
     _emit(_report_json(reports) if args.format == "json" else _report_text(reports), args.out)
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    import fnmatch
+
+    from .reductions import check_all_reductions, representation_formulas_check
+
     reports = check_all_reductions(args.filter, args.tol)
     if args.filter is None:
         reports = reports + representation_formulas_check()

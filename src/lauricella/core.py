@@ -70,6 +70,7 @@ _LANCZOS = (
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _sin_pi(z: complex) -> complex:
@@ -78,6 +79,21 @@ def _sin_pi(z: complex) -> complex:
     n = round(z.real)
     value = cmath.sin(cmath.pi * (z - n))
     return -value if n % 2 else value
+
+
+def _check_pole(z: complex) -> None:
+    if abs(z.imag) < 1e-12:
+        nearest = round(z.real)
+        if nearest <= 0 and abs(z.real - nearest) < 1e-12:
+            raise GammaPoleError(f"gamma pole near z = {nearest}: z = {z}")
+
+
+def _lanczos(zz: complex) -> tuple[complex, complex]:
+    """The rational sum and the shifted base t of the approximation at z = zz + 1."""
+    acc = _LANCZOS[0]
+    for i in range(1, len(_LANCZOS)):
+        acc += _LANCZOS[i] / (zz + i)
+    return acc, zz + _LANCZOS_G + 0.5
 
 
 def gamma(z: complex) -> complex:
@@ -89,18 +105,12 @@ def gamma(z: complex) -> complex:
     leaves the floating-point range (Re z above about 171.6).
     """
     z = complex(z)
-    if abs(z.imag) < 1e-12:
-        nearest = round(z.real)
-        if nearest <= 0 and abs(z.real - nearest) < 1e-12:
-            raise GammaPoleError(f"gamma pole near z = {nearest}: z = {z}")
+    _check_pole(z)
     if z.real < 0.5:
         # gamma(z) gamma(1-z) = pi / sin(pi z)
         return cmath.pi / (_sin_pi(z) * gamma(1.0 - z))
     zz = z - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
+    acc, t = _lanczos(zz)
     try:
         value = _SQRT_2PI * t ** (zz + 0.5) * cmath.exp(-t) * acc
     except OverflowError:
@@ -116,6 +126,22 @@ def gamma(z: complex) -> complex:
     if z.imag == 0.0:
         return complex(value.real, 0.0)
     return value
+
+
+def _log_gamma(z: complex) -> complex:
+    """A logarithm of Gamma(z), on no fixed branch: only exp(_log_gamma(z)) is meant.
+
+    The same approximation as :func:`gamma` taken in log form, so it stays
+    finite where Gamma leaves the floating-point range; quotients of large
+    Gammas are formed as exp of a difference.  The absolute error grows like
+    |z log z| times the unit roundoff.
+    """
+    z = complex(z)
+    _check_pole(z)
+    if z.real < 0.5:
+        return cmath.log(cmath.pi / _sin_pi(z)) - _log_gamma(1.0 - z)
+    acc, t = _lanczos(z - 1.0)
+    return _LOG_SQRT_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
 def pochhammer(a: complex, m: int) -> complex:

@@ -35,8 +35,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import BranchSide, DEFAULT_SIDE, DomainError, gamma, principal_pow
-from .quadrature import IntegrandSpec, integrate
+from .core import BranchSide, DEFAULT_SIDE, DomainError, _log_gamma, gamma, principal_pow
+from .quadrature import IntegrandSpec, QuadratureError, integrate
 
 __all__ = [
     "HyperSpec",
@@ -102,6 +102,7 @@ def _near_one(x: complex) -> bool:
 def hyp2f1_series(a: complex, b: complex, c: complex, x: complex) -> complex:
     """Gauss series, valid for |x| <= 0.9."""
     a, b, c, x = complex(a), complex(b), complex(c), complex(x)
+    _check_c(c)
     if abs(x) > _SERIES_RADIUS + 1e-12:
         raise DomainError(f"series restricted to |x| <= {_SERIES_RADIUS}, got |x| = {abs(x)}")
     total = term = complex(1.0)
@@ -325,7 +326,25 @@ def _euler_fd(
             )
     spec = _euler_integrand(a, bs, c, xs, side)
     result = integrate(spec, 0.0, 1.0, quad_tol)
-    return gamma(c) / (gamma(a) * gamma(c - a)) * result.value
+    try:
+        prefactor = gamma(c) / (gamma(a) * gamma(c - a))
+    except DomainError:
+        # A Gamma left the float range; the quotient itself usually has not.
+        # Such quotients are large and their integrals small, where the
+        # quadrature's tolerance is absolute, so the integral must meet it
+        # relative to its own size before it is scaled up.
+        if result.error_estimate > quad_tol * abs(result.value):
+            raise QuadratureError(
+                f"integral {result.value:.3e} is known only to {result.error_estimate:.3e}, "
+                f"too coarse to scale by Gamma(c)/(Gamma(a) Gamma(c-a)); a = {a}, c = {c}"
+            ) from None
+        try:
+            prefactor = cmath.exp(_log_gamma(c) - _log_gamma(a) - _log_gamma(c - a))
+        except OverflowError:
+            raise DomainError(
+                f"Gamma(c)/(Gamma(a) Gamma(c-a)) exceeds the floating-point range; a = {a}, c = {c}"
+            ) from None
+    return prefactor * result.value
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import fnmatch
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -157,7 +156,6 @@ def verify_all(
     filter: Optional[str] = None,
     tol_override: Optional[float] = None,
     quad_tol: float = DEFAULT_QUAD_TOL,
-    max_workers: int = 1,
 ) -> list[EvalReport]:
     """Run every matching record; the report list is ordered by id."""
     ids = [r.id for r in registry() if filter is None or fnmatch.fnmatch(r.id, filter)]
@@ -172,12 +170,7 @@ def verify_all(
                               math.inf, math.inf, "fail", 0.0,
                               f"evaluation error: {exc}")
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(run, ids))
-    else:
-        reports = [run(one) for one in ids]
-    return reports
+    return [run(one) for one in ids]
 
 
 def registry() -> list[IdentityRecord]:

@@ -78,6 +78,25 @@ class TestEval:
             assert out[0].endswith("i")
             assert out[1].startswith("error estimate:")
 
+    def test_gamma_quotient_past_float_range(self, capsys):
+        # Gamma(172) overflows; the Euler prefactor is formed from log-Gammas
+        code = main(["eval", "2f1", "--a", "171.5", "--b", "0.5", "--c", "172", "--x", "2"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        want = complex(mpmath.hyp2f1(171.5, 0.5, 172, mpmath.mpc(2, "-1e-25")))
+        assert abs(_parse_value(out[0]) - want) <= 1e-9 * abs(want)
+
+
+def _parse_value(line: str) -> complex:
+    """Read the value line `re`, `re + imi` or `re - imi` that eval prints."""
+    for sign, op in ((" + ", 1.0), (" - ", -1.0)):
+        if sign in line:
+            re, im = line.split(sign)
+            return complex(float(re), op * float(im.rstrip("i")))
+    return complex(float(line), 0.0)
+
 
 class TestVerifyCommand:
     def test_kummer_json_roundtrip(self, capsys):

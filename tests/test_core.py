@@ -93,6 +93,33 @@ class TestGamma:
         assert math.isfinite(value.real) and math.isfinite(value.imag)
 
 
+class TestLogGamma:
+    def test_against_mpmath_past_float_range(self):
+        # only exp(_log_gamma) is meant, so compare modulo 2 pi i, scaled by the
+        # log's own size (the error grows like |z log z| ulps)
+        import random
+
+        from lauricella.core import _log_gamma
+
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 25
+        rng = random.Random(7)
+        for _ in range(200):
+            z = complex(rng.uniform(-400, 1000), rng.choice([0.0, 0.3, -2.0, 60.0]))
+            if z.imag == 0 and z.real <= 0 and abs(z.real - round(z.real)) < 1e-6:
+                continue
+            want = complex(mpmath.loggamma(mpmath.mpc(z)))
+            diff = _log_gamma(z) - want
+            turns = round(diff.imag / (2 * math.pi))
+            assert abs(diff - 2j * math.pi * turns) <= 1e-14 * (1.0 + abs(want)), z
+
+    def test_poles_raise(self):
+        from lauricella.core import _log_gamma
+
+        with pytest.raises(GammaPoleError):
+            _log_gamma(-3.0)
+
+
 class TestPochhammer:
     def test_empty_product(self):
         assert pochhammer(3.0, 0) == 1.0

@@ -52,6 +52,11 @@ class TestGaussSeries:
         with pytest.raises(DomainError):
             hyp2f1_series(1.0, 1.0, 2.0, 0.95)
 
+    @pytest.mark.parametrize("c", [-1.0, -2.0])
+    def test_non_positive_integer_c_rejected(self, c):
+        with pytest.raises(DomainError):
+            hyp2f1_series(1.0, 1.0, c, 0.5)
+
 
 class TestGaussContinuation:
     def test_kummer_point(self):
@@ -88,6 +93,55 @@ class TestGaussContinuation:
     def test_non_positive_integer_c_rejected(self):
         with pytest.raises(DomainError):
             hyp2f1(1.0, 1.0, -1.0, 0.5)
+
+    def test_euler_prefactor_past_gamma_range(self):
+        # Gamma(172) overflows, but Gamma(172)/(Gamma(171.5) Gamma(1/2)) = 7.38...
+        # does not
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        want = complex(mpmath.hyp2f1(171.5, 0.5, 172, mpmath.mpc(2, "-1e-25")))
+        got = hyp2f1(171.5, 0.5, 172.0, 2.0)
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_euler_prefactor_beyond_float_range_is_domain_error(self):
+        # Gamma(1200)/(Gamma(600) Gamma(600)) is about 2**1200: a library error,
+        # not a bare OverflowError
+        with pytest.raises(DomainError, match="floating-point range"):
+            hyp2f1(600.0, 0.5, 1200.0, 2.0)
+
+    def test_large_parameters_value_or_library_error(self):
+        # past Gamma's range the integral is often tiny, and the quadrature's
+        # absolute tolerance must not pass a coarse one on to the scaled value
+        import random
+
+        from lauricella import GammaPoleError, QuadratureError
+
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        rng = random.Random(11)
+        for _ in range(80):
+            a = rng.uniform(172.0, 500.0)
+            c = a + rng.choice([rng.uniform(0.05, 1.0), rng.uniform(1.0, 250.0)])
+            b = rng.choice([0.5, 0.25, -0.5, 1.5])
+            x = rng.choice([2.0, 1.2, 3.0, -1.5, 1.5 + 1j])
+            try:
+                got = hyp2f1(a, b, c, x)
+            except (DomainError, GammaPoleError, QuadratureError):
+                continue
+            z = mpmath.mpc(x.real, "-1e-25") if x.imag == 0 else mpmath.mpc(x)
+            want = complex(mpmath.hyp2f1(a, b, c, z))
+            assert abs(got - want) <= 1e-9 * abs(want), (a, b, c, x)
+        with pytest.raises(QuadratureError):
+            hyp2f1(200.0, 0.5, 400.0, 2.0)  # integral ~3.7e-121, estimate ~3.3e-123
+
+    def test_euler_prefactor_in_range_unchanged(self):
+        # values whose Gammas are all finite keep the direct quotient, bit for bit
+        from lauricella import gamma
+
+        a, b, c, x = 170.5 + 0j, 0.5 + 0j, 171.0 + 0j, 2.0 + 0j
+        spec = hyperfun._euler_integrand(a, [b], c, [x], BranchSide.BELOW)
+        value = hyperfun.integrate(spec, 0.0, 1.0, hyperfun.DEFAULT_QUAD_TOL).value
+        assert hyp2f1(a, b, c, x) == gamma(c) / (gamma(a) * gamma(c - a)) * value
 
     def test_parameter_order_fallback(self):
         # (1/2, 1; 2 | 2): only the swapped order gives an integrable split

@@ -1,0 +1,92 @@
+"""The package surface: catalog names resolve lazily, and `eval` loads only the evaluation stack."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import lauricella
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a new interpreter with only this checkout's src on the path."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestEvalImports:
+    def test_cli_import_leaves_catalog_modules_unloaded(self):
+        proc = _fresh("""
+            import json, sys
+            import lauricella.cli
+            loaded = sorted(m for m in ("lauricella.identities", "lauricella.reductions",
+                                        "lauricella.catalog", "concurrent.futures")
+                            if m in sys.modules)
+            code = lauricella.cli.main(["eval", "2f1", "--a", "1", "--b", "0.5",
+                                        "--c", "1.5", "--x", "-1"])
+            print(json.dumps({"loaded": loaded, "code": code}))
+        """)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"loaded": [], "code": 0}
+        assert proc.stdout.startswith("0.785398163397448")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--filter", "enu5-1"],
+        ["reduce", "--filter", "goursat-*"],
+    ])
+    def test_catalog_commands_in_fresh_process(self, argv):
+        proc = _fresh(f"""
+            import sys
+            from lauricella.cli import main
+            sys.exit(main({argv!r}))
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestLazySurface:
+    def test_every_public_name_resolves(self):
+        for name in lauricella.__all__:
+            assert getattr(lauricella, name) is not None, name
+
+    def test_lazy_names_are_the_submodule_objects(self):
+        from lauricella import identities, reductions
+
+        assert lauricella.verify_all is identities.verify_all
+        assert lauricella.ReductionRecord is reductions.ReductionRecord
+
+    def test_star_import_binds_all(self):
+        namespace: dict = {}
+        exec("from lauricella import *", namespace)
+        assert set(lauricella.__all__) <= set(namespace)
+
+    def test_dir_lists_all(self):
+        assert set(lauricella.__all__) <= set(dir(lauricella))
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            lauricella.no_such_name
+
+    def test_submodule_import_falls_back(self):
+        from lauricella import catalog
+
+        assert catalog.__name__ == "lauricella.catalog"
+
+    def test_lazy_names_before_first_use(self):
+        proc = _fresh("""
+            import sys
+            import lauricella
+            assert "lauricella.identities" not in sys.modules
+            assert "verify_all" in dir(lauricella)
+            from lauricella import verify_all, check_reduction
+            assert "lauricella.identities" in sys.modules
+            assert "lauricella.reductions" in sys.modules
+            assert vars(lauricella)["verify_all"] is verify_all
+        """)
+        assert proc.returncode == 0, proc.stderr
