@@ -1,6 +1,19 @@
 """Gauss 2F1, Appell F1 and Lauricella FD evaluation.
 
-Inside the polydisk (|x| <= 0.9) the functions are summed as power series.
+Inside the polydisk (|x| <= 0.9) the functions are summed as power series,
+at whichever of x and its Pfaff image x/(x-1) is nearer 0:
+
+    2F1(a, b; c | x) = (1-x)**(-a) 2F1(a, c-b; c | x/(x-1)),
+    F1(a; b1, b2; c | x1, x2) = (1-x1)**(-b1) (1-x2)**(-b2)
+        F1(c-a; b1, b2; c | x1/(x1-1), x2/(x2-1)).
+
+The image is taken when its largest modulus is both smaller than that of the
+arguments and inside the radius.  For one argument it is nearer 0 exactly
+when |x - 1| > 1: x = -0.9 sums at 0.47 instead of at -0.9, and x = -3 sums
+at 3/4 instead of going to the integral.  With real parameters and argument
+the Gauss series runs in float arithmetic, which gives the same bits as the
+complex sum at about half the cost per term.
+
 Appell F1 is summed by total degree n = m1 + m2: its n-th term is
 (a)_n/(c)_n p_n, with p_n the coefficient of t**n in
 (1 - x1 t)**(-b1) (1 - x2 t)**(-b2), which a three-term recurrence gives in
@@ -105,7 +118,11 @@ def hyp2f1_series(a: complex, b: complex, c: complex, x: complex) -> complex:
     _check_c(c)
     if abs(x) > _SERIES_RADIUS + 1e-12:
         raise DomainError(f"series restricted to |x| <= {_SERIES_RADIUS}, got |x| = {abs(x)}")
-    total = term = complex(1.0)
+    if not (a.imag or b.imag or c.imag or x.imag):
+        # the same sum in float arithmetic: complex operations with zero
+        # imaginary parts round exactly as their real parts do
+        a, b, c, x = a.real, b.real, c.real, x.real
+    total = term = 1.0
     small = 0
     for m in range(_MAX_TERMS):
         term = term * (a + m) * (b + m) / ((c + m) * (1 + m)) * x
@@ -113,7 +130,7 @@ def hyp2f1_series(a: complex, b: complex, c: complex, x: complex) -> complex:
         if abs(term) < 1e-16 * abs(total):
             small += 1
             if small >= 2:
-                return total
+                return complex(total)
         else:
             small = 0
     raise DomainError("series did not converge within the term budget")
@@ -360,25 +377,26 @@ def hyp2f1(
 ) -> complex:
     """Gauss 2F1 with analytic continuation off the unit disk.
 
-    Series for |x| <= 0.9; otherwise the integral representation, using
-    whichever of the symmetric parameter orders (a,b) / (b,a) is admissible,
-    with one Pfaff transformation attempted as a fallback.
+    The series at y = x/(x-1) times (1-x)**(-a) (Pfaff) when |y| < |x| and
+    |y| <= 0.9; else the series at x when |x| <= 0.9; else the integral
+    representation, using whichever of the symmetric parameter orders
+    (a,b) / (b,a) is admissible.
     """
     a, b, c, x = complex(a), complex(b), complex(c), complex(x)
     _check_c(c)
     if _near_one(x):
         raise DomainError("argument 1 is on the divergence boundary")
-    if abs(x) <= _SERIES_RADIUS:
+    y = x / (x - 1.0)
+    r_x, r_y = abs(x), abs(y)
+    if r_y < r_x and r_y <= _SERIES_RADIUS:
+        # |y| <= 0.9 puts x off the cut, so 1 - x is off the branch cut of the power
+        return principal_pow(1.0 - x, -a) * hyp2f1_series(a, c - b, c, y)
+    if r_x <= _SERIES_RADIUS:
         return hyp2f1_series(a, b, c, x)
     on_cut = _on_cut(x)
     for a_int, b_pow in ((a, b), (b, a)):
         if c.real > a_int.real > 0.0 and not (on_cut and b_pow.real >= 1.0):
             return _euler_fd(a_int, [b_pow], c, [x], side, quad_tol)
-    # Pfaff: 2F1(a,b;c|x) = (1-x)**(-a) 2F1(a, c-b; c | x/(x-1))
-    x_t = x / (x - 1.0)
-    if abs(x_t) <= _SERIES_RADIUS:
-        pref = principal_pow(1.0 - x, -a, side.flipped() if on_cut else side)
-        return pref * hyp2f1_series(a, c - b, c, x_t)
     raise DomainError(
         f"no admissible evaluation path for 2F1(a={a}, b={b}, c={c} | x={x})"
     )
@@ -394,13 +412,23 @@ def appell_f1(
     side: BranchSide = DEFAULT_SIDE,
     quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> complex:
-    """Appell F1, by its series summed by total degree inside the polydisk, else Euler integral."""
+    """Appell F1: series by total degree inside the polydisk, else Euler integral.
+
+    The series runs at whichever of (x1, x2) and its Pfaff image
+    (x1/(x1-1), x2/(x2-1)) has the smaller largest modulus, when that is at
+    most 0.9.  Outside, the integral is tried as given, then after Pfaff.
+    """
     a, b1, b2, c = complex(a), complex(b1), complex(b2), complex(c)
     x1, x2 = complex(x1), complex(x2)
     _check_c(c)
     if _near_one(x1) or _near_one(x2):
         raise DomainError("argument 1 is on the divergence boundary")
-    if max(abs(x1), abs(x2)) <= _SERIES_RADIUS:
+    r_x = max(abs(x1), abs(x2))
+    r_y = max(abs(x1 / (x1 - 1.0)), abs(x2 / (x2 - 1.0)))
+    if r_y < r_x and r_y <= _SERIES_RADIUS:
+        pref, (y1, y2) = _pfaff_args((b1, b2), (x1, x2), side)
+        return pref * _appell_series(c - a, b1, b2, c, y1, y2)
+    if r_x <= _SERIES_RADIUS:
         return _appell_series(a, b1, b2, c, x1, x2)
     if c.real > a.real > 0.0:
         return _euler_fd(a, [b1, b2], c, [x1, x2], side, quad_tol)
@@ -439,16 +467,24 @@ def lauricella_fd(
 # ---------------------------------------------------------------------------
 # transformations
 
-def _pfaff_fd(spec: HyperSpec, side: BranchSide = DEFAULT_SIDE) -> tuple[HyperSpec, complex]:
+def _pfaff_args(
+    bs: Sequence[complex], xs: Sequence[complex], side: BranchSide
+) -> tuple[complex, tuple[complex, ...]]:
+    """The Pfaff prefactor prod (1 - x)**(-b) and the images x/(x-1)."""
     pref: complex = 1.0 + 0.0j
     new_xs = []
-    for b, x in zip(spec.bs, spec.xs):
+    for b, x in zip(bs, xs):
         if _near_one(x):
             raise DomainError("Pfaff transformation has a pole at argument 1")
         base_side = side.flipped() if _on_cut(x) else side
         pref *= principal_pow(1.0 - x, -b, base_side)
         new_xs.append(x / (x - 1.0))
-    return HyperSpec(spec.c - spec.a, spec.bs, spec.c, tuple(new_xs)), pref
+    return pref, tuple(new_xs)
+
+
+def _pfaff_fd(spec: HyperSpec, side: BranchSide = DEFAULT_SIDE) -> tuple[HyperSpec, complex]:
+    pref, new_xs = _pfaff_args(spec.bs, spec.xs, side)
+    return HyperSpec(spec.c - spec.a, spec.bs, spec.c, new_xs), pref
 
 
 def pfaff_f1(

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from lauricella import (
     BranchSide,
     DomainError,
+    GammaPoleError,
     HyperSpec,
+    QuadratureError,
     appell_f1,
     complete_k,
     eulerian_a,
@@ -601,4 +603,102 @@ def test_euler_evaluation_count_is_pinned(monkeypatch):
     verify_all()
     check_all_reductions()
     representation_formulas_check()
-    assert total == 13_259
+    assert total == 11_529
+
+
+# ---------------------------------------------------------------------------
+# the series at whichever of x and x/(x-1) is nearer 0
+
+
+def _gauss_complex_loop(a, b, c, x):
+    """The Gauss series as summed in complex arithmetic for every input."""
+    a, b, c, x = complex(a), complex(b), complex(c), complex(x)
+    total = term = complex(1.0)
+    small = 0
+    for m in range(100_000):
+        term = term * (a + m) * (b + m) / ((c + m) * (1 + m)) * x
+        total += term
+        if abs(term) < 1e-16 * abs(total):
+            small += 1
+            if small >= 2:
+                return total
+        else:
+            small = 0
+    raise AssertionError("no convergence")
+
+
+@st.composite
+def _routed_cases(draw):
+    """(a, b, c, x): half with |x| <= 0.9, half with |x/(x-1)| <= 0.9."""
+
+    def param():
+        im = draw(st.floats(-2.0, 2.0)) if draw(st.booleans()) else 0.0
+        return complex(draw(st.floats(-4.0, 4.0)), im)
+
+    a, b = param(), param()
+    c = draw(st.floats(0.3, 5.0))
+    r = draw(st.floats(0.0, 0.9))
+    if draw(st.booleans()):
+        z = complex(r * draw(st.sampled_from((1.0, -1.0))))
+    else:
+        z = cmath.rect(r, draw(st.floats(-math.pi, math.pi)))
+    x = z / (z - 1.0) if draw(st.booleans()) else z
+    return a, b, c, x
+
+
+class TestPfaffRouting:
+    def test_large_parameters_at_minus_point_nine(self):
+        # summed at x = -0.9 itself, terms of 2e20 cancel down to 1.5e-4
+        want = 1.49735359829033e-4
+        assert abs(hyp2f1(10, 10, 1.5, -0.9) - want) <= 1e-12 * want
+
+    def test_off_disk_point_takes_the_series(self):
+        # x = -3 maps to 3/4; the integral fails at the u**-0.99 endpoint
+        assert abs(hyp2f1(0.01, 1, 2, -3) - 0.991559197970854) <= 1e-13
+
+    def test_f1_takes_the_image_when_it_is_nearer(self, monkeypatch):
+        a, b1, b2, c, x1, x2 = 0.7, 0.3, -0.4, 1.6, -0.5 + 0.2j, -0.6
+        at_x = hyperfun._appell_series(a, b1, b2, c, x1, x2)
+        calls = []
+        series = hyperfun._appell_series
+
+        def recording(*args):
+            calls.append(args)
+            return series(*args)
+
+        monkeypatch.setattr(hyperfun, "_appell_series", recording)
+        got = appell_f1(a, b1, b2, c, x1, x2)
+        assert [args[4:] for args in calls] == [(x1 / (x1 - 1.0), x2 / (x2 - 1.0))]
+        assert abs(got - at_x) <= 1e-12 * abs(at_x)
+
+    def test_f1_outside_the_polydisk_with_its_image_inside(self):
+        # max |x| = 0.95, image (0.487, 0.474); Re c > Re a fails both as given
+        # and after Pfaff, so no integral applies.  mpmath.appellf1 at 30 digits:
+        want = 0.386525797163272583352579258048
+        assert abs(appell_f1(1.3, 0.4, 0.6, 0.9, -0.95, -0.9) - want) <= 1e-13 * want
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.floats(0.05, 6.0),
+        st.floats(-0.9, 0.9),
+    )
+    def test_float_sum_is_bit_identical(self, a, b, c, x):
+        got = hyp2f1_series(a, b, c, x)
+        want = _gauss_complex_loop(a, b, c, x)
+        assert type(got) is complex
+        assert (got.real, got.imag) == (want.real, want.imag), (got, want)
+
+    # 400 draws, about 1.3 s.  A sum at x itself misses one of them
+    # (a = b = 3.32, c = 0.899, x = -0.899) by 6e-10 relative.
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(_routed_cases())
+    def test_against_mpmath(self, case):
+        mpmath = pytest.importorskip("mpmath")
+        a, b, c, x = case
+        try:
+            got = hyp2f1(a, b, c, x)
+        except (DomainError, GammaPoleError, QuadratureError):
+            return
+        with mpmath.workdps(30):
+            want = complex(mpmath.hyp2f1(mpmath.mpc(a), mpmath.mpc(b), c, mpmath.mpc(x)))
+        assert abs(got - want) <= 1e-10 * max(abs(want), 1e-12), (case, got, want)
