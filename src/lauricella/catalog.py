@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 from .core import gamma, principal_pow, roots_of_unity, unit_partition_roots
 from .elliptic import (
@@ -26,7 +25,7 @@ from .elliptic import (
 from .hyperfun import HyperSpec, appell_f1, hyp2f1, lauricella_fd
 from .identities import Erratum, EvalContext, IdentityRecord
 
-__all__ = ["records"]
+__all__ = ["RECORDS"]
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -82,14 +81,7 @@ def _k21() -> float:
     return complete_k(math.sqrt(2.0) - 1.0)
 
 
-_GAMMA_THIRD_CUBED = None
-
-
-def _gamma_third_cubed() -> float:
-    global _GAMMA_THIRD_CUBED
-    if _GAMMA_THIRD_CUBED is None:
-        _GAMMA_THIRD_CUBED = abs(gamma(1.0 / 3.0)) ** 3
-    return _GAMMA_THIRD_CUBED
+_GAMMA_THIRD_CUBED = abs(gamma(1.0 / 3.0)) ** 3
 
 
 # arguments shared by several section-4 continuation entries
@@ -141,12 +133,12 @@ def _pi_corollary_lhs(ctx: EvalContext) -> complex:
 # ---------------------------------------------------------------------------
 # catalog
 
-@lru_cache(maxsize=1)
-def records() -> list[IdentityRecord]:
-    out: list[IdentityRecord] = []
+def _records() -> dict[str, IdentityRecord]:
+    out: dict[str, IdentityRecord] = {}
 
     def rec(id, anchor, lhs, rhs, tol=1e-8, erratum=None):
-        out.append(IdentityRecord(id, anchor, lhs, rhs, tol, erratum))
+        assert id not in out, id
+        out[id] = IdentityRecord(id, anchor, lhs, rhs, tol, erratum)
 
     # --- outside-disk 2F1 family and its pinned instance ------------------
     # the grid omits (1,1): with b = 1 both parameter orders leave a
@@ -445,9 +437,9 @@ def records() -> list[IdentityRecord]:
         "bg00",
         'theorem 5.2: "new evaluation of the analytic continuation"',
         _f1(2 / 3, 0.5, 0.5, 5 / 3, -2.0, -8.0),
-        lambda ctx: _gamma_third_cubed() / (3.0 * math.pi * 16.0 ** (1 / 3) * SQRT3),
+        lambda ctx: _GAMMA_THIRD_CUBED / (3.0 * math.pi * 16.0 ** (1 / 3) * SQRT3),
         erratum=Erratum(
-            lambda ctx: _gamma_third_cubed() / (math.pi * 16.0 ** (1 / 3) * SQRT3),
+            lambda ctx: _GAMMA_THIRD_CUBED / (math.pi * 16.0 ** (1 / 3) * SQRT3),
             "printed right side equals the whole source integral; the cubic "
             "reduction factor 3 is missing (ratio 3)",
         ),
@@ -462,7 +454,7 @@ def records() -> list[IdentityRecord]:
         "bg01",
         'theorem 5.3: "a new evaluation of the Appell"',
         _f1(1 / 3, 0.5, 0.5, 4 / 3, -0.5, -0.125),
-        lambda ctx: _gamma_third_cubed() / (math.pi * math.sqrt(27.0) * 2.0 ** (1 / 3)),
+        lambda ctx: _GAMMA_THIRD_CUBED / (math.pi * math.sqrt(27.0) * 2.0 ** (1 / 3)),
     )
     rec(
         "bg01-elliptic",
@@ -549,3 +541,7 @@ def records() -> list[IdentityRecord]:
     )
 
     return out
+
+
+# the registry, id -> record, built once at import
+RECORDS = _records()

@@ -90,12 +90,15 @@ def _report_text(reports: list[EvalReport]) -> str:
     return "\n".join(lines)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as handle:
+def _finish(reports: list[EvalReport], args: argparse.Namespace) -> int:
+    """Write the report to --out or stdout; exit code 1 when a record fails."""
+    text = _report_json(reports) if args.format == "json" else _report_text(reports)
+    if args.out:
+        with open(args.out, "w") as handle:
             handle.write(text + "\n")
     else:
         print(text)
+    return 1 if any(r.status == "fail" for r in reports) else 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -140,30 +143,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .identities import verify_all
 
-    quad_tol = args.quad_tol
-    if args.tol is not None:
-        quad_tol = min(quad_tol, args.tol / 10.0)
-    reports = verify_all(args.filter, args.tol, quad_tol)
-    _emit(_report_json(reports) if args.format == "json" else _report_text(reports), args.out)
-    return 1 if any(r.status == "fail" for r in reports) else 0
+    return _finish(verify_all(args.filter, args.tol, args.quad_tol), args)
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    import fnmatch
+    from .identities import run_all
+    from .reductions import CHECKS, check_reduction
 
-    from .reductions import check_all_reductions, representation_formulas_check
-
-    reports = check_all_reductions(args.filter, args.tol)
-    if args.filter is None:
-        reports = reports + representation_formulas_check()
-    else:
-        reports = reports + [
-            r for r in representation_formulas_check()
-            if fnmatch.fnmatch(r.id, args.filter)
-        ]
-    reports.sort(key=lambda r: r.id)
-    _emit(_report_json(reports) if args.format == "json" else _report_text(reports), args.out)
-    return 1 if any(r.status == "fail" for r in reports) else 0
+    return _finish(run_all(CHECKS, check_reduction, args.filter, args.tol, args.quad_tol), args)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:

@@ -1,10 +1,13 @@
 """Machine-checkable identity catalog and the double-evaluation verifier.
 
 Each record carries two evaluation plans (a hypergeometric side and a closed
-form) plus a tolerance.  ``verify`` evaluates both, and when the printed form
-of an identity fails it searches for a small correction factor (optionally
-with conjugation) and reports ``pass_with_erratum`` instead of silently
-failing or silently fudging.
+form) plus a tolerance, and optionally a closed-form value the left side must
+equal as well.  ``_verify_record`` is the one check behind the identity
+catalog, the reductions and the representation formulas: it evaluates both
+plans, and when the printed form of an identity fails it searches for a small
+correction factor (optionally with conjugation) and reports
+``pass_with_erratum`` instead of silently failing or silently fudging.
+``run_all`` runs a check over a registry, ordered by id.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import fnmatch
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .core import BranchSide, DEFAULT_SIDE
@@ -24,6 +27,7 @@ __all__ = [
     "Erratum",
     "IdentityRecord",
     "registry",
+    "run_all",
     "verify",
     "verify_all",
 ]
@@ -31,10 +35,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Evaluation knobs threaded through every plan."""
+    """Evaluation knobs threaded through every plan; `tol` is the check tolerance."""
 
     side: BranchSide = DEFAULT_SIDE
     quad_tol: float = DEFAULT_QUAD_TOL
+    tol: float = 1e-8
 
 
 Plan = Callable[[EvalContext], complex]
@@ -56,6 +61,7 @@ class IdentityRecord:
     rhs: Plan                      # corrected form when `erratum` is present
     tolerance: float = 1e-8
     erratum: Optional[Erratum] = None
+    closed_form: Optional[Callable[[], complex]] = None   # a third value lhs must equal
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,9 @@ def verify(
     quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> EvalReport:
     """Evaluate both plans of one record and report agreement."""
-    return _verify_record(_lookup(id), tol_override, quad_tol)
+    from . import catalog
+
+    return _verify_record(lookup(catalog.RECORDS, id), tol_override, quad_tol)
 
 
 def _verify_record(
@@ -118,7 +126,7 @@ def _verify_record(
     quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> EvalReport:
     tol = record.tolerance if tol_override is None else tol_override
-    ctx = EvalContext(side=DEFAULT_SIDE, quad_tol=min(quad_tol, max(tol / 10.0, 1e-13)))
+    ctx = EvalContext(DEFAULT_SIDE, min(quad_tol, max(tol / 10.0, 1e-13)), tol)
     start = time.perf_counter()
 
     lhs = complex(record.lhs(ctx))
@@ -127,18 +135,23 @@ def _verify_record(
     status = "pass" if rel_err <= tol else "fail"
     note = ""
 
-    if record.erratum is not None:
+    if record.closed_form is not None:
+        closed_err = _errors(lhs, complex(record.closed_form()))[1]
+        if closed_err <= tol:
+            note = f"closed form agrees to {closed_err:.2e}"
+        else:
+            status, note = "fail", f"closed-form mismatch: {closed_err:.2e}"
+    elif record.erratum is not None:
         printed = complex(record.erratum.as_printed_rhs(ctx))
         ratio = abs(printed / lhs) if lhs != 0 else math.inf
         if status == "pass":
             status = "pass_with_erratum"
         note = f"{record.erratum.note}; as printed |rhs/lhs| = {ratio:.9g}"
     elif status == "fail":
-        flipped = EvalContext(side=ctx.side.flipped(), quad_tol=ctx.quad_tol)
-        lhs_flipped = complex(record.lhs(flipped))
-        if _matches(lhs_flipped, complex(record.rhs(flipped)), tol):
-            lhs = lhs_flipped
-            rhs = complex(record.rhs(flipped))
+        flipped = replace(ctx, side=ctx.side.flipped())
+        lhs_flipped, rhs_flipped = complex(record.lhs(flipped)), complex(record.rhs(flipped))
+        if _matches(lhs_flipped, rhs_flipped, tol):
+            lhs, rhs = lhs_flipped, rhs_flipped
             abs_err, rel_err = _errors(lhs, rhs)
             status = "pass"
             note = f"passes only with the opposite branch side ({flipped.side.value})"
@@ -152,38 +165,52 @@ def _verify_record(
     return EvalReport(record.id, record.anchor, lhs, rhs, abs_err, rel_err, status, elapsed, note)
 
 
+def run_all(
+    records: dict,
+    check: Callable[[str, Optional[float], float], EvalReport],
+    filter: Optional[str] = None,
+    tol: Optional[float] = None,
+    quad_tol: float = DEFAULT_QUAD_TOL,
+) -> list[EvalReport]:
+    """`check` every record of an id -> record registry that matches `filter`.
+
+    The report list is ordered by id; a record whose evaluation raises is a
+    ``fail`` row with the error in its note.
+    """
+    def run(id: str) -> EvalReport:
+        try:
+            return check(id, tol, quad_tol)
+        except Exception as exc:  # evaluation failure is itself a result
+            return EvalReport(id, records[id].anchor, complex("nan"), complex("nan"),
+                              math.inf, math.inf, "fail", 0.0,
+                              f"evaluation error: {exc}")
+
+    return [run(id) for id in sorted(records) if filter is None or fnmatch.fnmatch(id, filter)]
+
+
+def lookup(records: dict, id: str):
+    """The record `id` of a registry; an unknown id raises KeyError with near misses."""
+    try:
+        return records[id]
+    except KeyError:
+        near = [one for one in records if one.startswith(id)]
+        hint = f"; did you mean one of {near}?" if near else ""
+        raise KeyError(f"unknown record id {id!r}{hint}") from None
+
+
 def verify_all(
     filter: Optional[str] = None,
     tol_override: Optional[float] = None,
     quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> list[EvalReport]:
-    """Run every matching record; the report list is ordered by id."""
-    ids = [r.id for r in registry() if filter is None or fnmatch.fnmatch(r.id, filter)]
-    ids.sort()
+    """Run every matching identity record; the report list is ordered by id."""
+    from . import catalog
 
-    def run(one: str) -> EvalReport:
-        try:
-            return verify(one, tol_override, quad_tol)
-        except Exception as exc:  # evaluation failure is itself a result
-            record = _lookup(one)
-            return EvalReport(one, record.anchor, complex("nan"), complex("nan"),
-                              math.inf, math.inf, "fail", 0.0,
-                              f"evaluation error: {exc}")
-
-    return [run(one) for one in ids]
+    return run_all(catalog.RECORDS, verify, filter, tol_override, quad_tol)
 
 
 def registry() -> list[IdentityRecord]:
     """The full identity catalog (family records expanded per grid point)."""
     from . import catalog
 
-    return list(catalog.records())
-
-
-def _lookup(id: str) -> IdentityRecord:
-    for record in registry():
-        if record.id == id:
-            return record
-    near = [r.id for r in registry() if r.id.startswith(id)]
-    hint = f"; did you mean one of {near}?" if near else ""
-    raise KeyError(f"unknown identity id {id!r}{hint}")
+    return list(catalog.RECORDS.values())

@@ -3,14 +3,14 @@
 Each record holds the two definite integrals of one classical reduction (plus
 the rational substitution behind it) and, where available, the closed-form
 value both sides must equal.  Verification integrates both sides numerically
-and never relies on the substitution algebra itself.
+and never relies on the substitution algebra itself.  Every reduction compiles
+into an ``IdentityRecord``, as do the three radical-integral representation
+formulas, and the identity verifier checks them all.
 """
 
 from __future__ import annotations
 
-import fnmatch
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,8 +22,10 @@ from .elliptic import (
     complete_k,
     incomplete_f,
 )
-from .hyperfun import HyperSpec, lauricella_fd
-from .identities import EvalReport
+from .hyperfun import DEFAULT_QUAD_TOL, HyperSpec, lauricella_fd
+from .identities import (
+    EvalContext, EvalReport, IdentityRecord, Plan, _verify_record, lookup, run_all,
+)
 from .quadrature import IntegrandSpec, integrate, integrate_semi_infinite
 
 __all__ = [
@@ -36,7 +38,6 @@ __all__ = [
     "substitution_errors",
 ]
 
-FINITE_QUAD_TOL = 1e-11
 SEMI_QUAD_TOL = 1e-9
 
 
@@ -62,10 +63,13 @@ class ReductionRecord:
     tolerance: float = 1e-8
 
 
-def _side_value(side: IntegralSide, tol: float) -> complex:
+def _side_value(side: IntegralSide, ctx: EvalContext) -> complex:
+    # semi-infinite sides aim at SEMI_QUAD_TOL, or a tenth of a tighter check
+    # tolerance, but never below the finite target, which carries the 1e-13 floor
     if math.isinf(side.hi):
+        tol = max(ctx.quad_tol, min(SEMI_QUAD_TOL, ctx.tol / 10.0))
         return integrate_semi_infinite(side.spec, side.lo, tol, side.mapped_exponent).value
-    return integrate(side.spec, side.lo, side.hi, tol).value
+    return integrate(side.spec, side.lo, side.hi, ctx.quad_tol).value
 
 
 def _dist_spec(g, interior=(), exponents=(0.0, 0.0)) -> IntegrandSpec:
@@ -388,82 +392,46 @@ def _legendre_z2(n: int, a: int) -> ReductionRecord:
     )
 
 
-_registry_cache: Optional[list[ReductionRecord]] = None
+def _check_record(r: ReductionRecord) -> IdentityRecord:
+    """The reduction as a two-plan record: lhs = scale*rhs, or lhs*rhs = closed form."""
+    if r.combine == "product":
+        return IdentityRecord(
+            r.id, r.anchor,
+            lambda ctx: _side_value(r.lhs, ctx) * _side_value(r.rhs, ctx),
+            lambda ctx: r.closed_form(),
+            r.tolerance,
+        )
+    return IdentityRecord(
+        r.id, r.anchor,
+        lambda ctx: _side_value(r.lhs, ctx),
+        lambda ctx: r.rhs_scale * _side_value(r.rhs, ctx),
+        r.tolerance,
+        closed_form=r.closed_form,
+    )
 
 
 def reduction_registry() -> list[ReductionRecord]:
     """All reduction records (the two Legendre relations carry small grids)."""
-    global _registry_cache
-    if _registry_cache is None:
-        _registry_cache = [
-            _jacobi_g2(),
-            _hermite_ugu(),
-            _goursat_dig(),
-            _goursat_gb0(),
-            _goursat_011b(),
-            _hermite_b0(),
-            _hermite_full(),
-            _hermite_g3(),
-            _maier_g4(),
-            *(_legendre_z1(n, a) for n, a in ((4, 1), (6, 1), (6, 2), (8, 1), (8, 3))),
-            *(_legendre_z2(n, a) for n, a in ((4, 3), (6, 4), (8, 5))),
-        ]
-    return list(_registry_cache)
+    return list(REDUCTIONS.values())
 
 
-def _lookup(id: str) -> ReductionRecord:
-    for record in reduction_registry():
-        if record.id == id:
-            return record
-    raise KeyError(f"unknown reduction id {id!r}")
-
-
-def check_reduction(id: str, tol: Optional[float] = None) -> EvalReport:
-    """Integrate both sides of one record and compare."""
-    record = _lookup(id)
-    use_tol = record.tolerance if tol is None else tol
-    start = time.perf_counter()
-    quad_finite = min(FINITE_QUAD_TOL, use_tol / 10.0)
-    quad_semi = min(SEMI_QUAD_TOL, use_tol / 10.0)
-
-    def side_tol(side: IntegralSide) -> float:
-        return quad_semi if math.isinf(side.hi) else quad_finite
-
-    lhs_val = _side_value(record.lhs, side_tol(record.lhs))
-    rhs_val = _side_value(record.rhs, side_tol(record.rhs))
-    note = ""
-    if record.combine == "product":
-        compare_l = lhs_val * rhs_val
-        compare_r = complex(record.closed_form())
-    else:
-        compare_l = lhs_val
-        compare_r = record.rhs_scale * rhs_val
-        if record.closed_form is not None:
-            closed = complex(record.closed_form())
-            closed_err = abs(compare_l - closed) / max(abs(closed), 1e-6)
-            note = f"closed form agrees to {closed_err:.2e}"
-            if closed_err > use_tol:
-                note = f"closed-form mismatch: {closed_err:.2e}"
-    abs_err = abs(compare_l - compare_r)
-    rel_err = abs_err / max(abs(compare_r), 1e-6)
-    status = "pass" if rel_err <= use_tol and "mismatch" not in note else "fail"
-    elapsed = time.perf_counter() - start
-    return EvalReport(record.id, record.anchor, compare_l, compare_r,
-                      abs_err, rel_err, status, elapsed, note)
+def check_reduction(
+    id: str, tol: Optional[float] = None, quad_tol: float = DEFAULT_QUAD_TOL
+) -> EvalReport:
+    """Check one reduction or representation record by quadrature of both sides."""
+    return _verify_record(lookup(CHECKS, id), tol, quad_tol)
 
 
 def check_all_reductions(
-    filter: Optional[str] = None, tol: Optional[float] = None
+    filter: Optional[str] = None, tol: Optional[float] = None,
+    quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> list[EvalReport]:
-    ids = sorted(
-        r.id for r in reduction_registry() if filter is None or fnmatch.fnmatch(r.id, filter)
-    )
-    return [check_reduction(one, tol) for one in ids]
+    return run_all(REDUCTIONS, check_reduction, filter, tol, quad_tol)
 
 
 def substitution_errors(id: str) -> list[float]:
     """|image - expected| for each declared endpoint of the record's map."""
-    record = _lookup(id)
+    record = lookup(REDUCTIONS, id)
     if record.substitution is None:
         return []
     return [
@@ -475,87 +443,98 @@ def substitution_errors(id: str) -> list[float]:
 # ---------------------------------------------------------------------------
 # representation formulas for the section-5 integrands
 
-def _fd_value(a, bs, c, xs) -> complex:
-    return lauricella_fd(HyperSpec(a, tuple(bs), c, tuple(xs)))
+def _fd_plan(pref: float, a, bs, c, xs) -> Plan:
+    spec = HyperSpec(a, tuple(bs), c, tuple(xs))
+    return lambda ctx: pref * lauricella_fd(spec, ctx.side, ctx.quad_tol)
 
 
-def _quintic_case(tag: str, a, b, c, y, d, e) -> EvalReport:
-    start = time.perf_counter()
+def _quad_plan(g, exponents, lo: float, hi: float) -> Plan:
+    side = IntegralSide(_dist_spec(g, exponents=exponents), lo, hi)
+    return lambda ctx: _side_value(side, ctx)
 
+
+def _quintic_case(tag: str, a, b, c, y, d, e) -> IdentityRecord:
     def g(z, dl, _dh):
         return 1.0 / math.sqrt((z - a) * (z - b) * dl * (d - z) * (e - z))
 
-    quad = integrate(_dist_spec(g, exponents=(-0.5, 0.0)), c, y, FINITE_QUAD_TOL).value
-    pref = 2.0 * math.sqrt((y - c) / ((c - a) * (c - b) * (d - c) * (e - c)))
-    fd = _fd_value(
-        0.5, (0.5,) * 4, 1.5,
-        ((c - y) / (c - a), (c - y) / (c - b), (y - c) / (d - c), (y - c) / (e - c)),
-    )
-    rhs = pref * fd
-    abs_err = abs(quad - rhs)
-    rel_err = abs_err / abs(rhs)
-    return EvalReport(
+    return IdentityRecord(
         f"rep-quintic[{tag}]", "order-4 representation of the quintic-radical integral",
-        quad, rhs, abs_err, rel_err, "pass" if rel_err <= 1e-8 else "fail",
-        time.perf_counter() - start,
+        _quad_plan(g, (-0.5, 0.0), c, y),
+        _fd_plan(
+            2.0 * math.sqrt((y - c) / ((c - a) * (c - b) * (d - c) * (e - c))),
+            0.5, (0.5,) * 4, 1.5,
+            ((c - y) / (c - a), (c - y) / (c - b), (y - c) / (d - c), (y - c) / (e - c)),
+        ),
     )
 
 
-def _sextic_case(tag: str, a, b, c, y, m) -> EvalReport:
-    start = time.perf_counter()
-
+def _sextic_case(tag: str, a, b, c, y, m) -> IdentityRecord:
     def g(x, _dl, dh):
         return x ** m / math.sqrt(x * dh * (b + x) * (x * x - a * a) * (c * c - x * x))
 
-    quad = integrate(_dist_spec(g, exponents=(0.0, -0.5)), y, b, FINITE_QUAD_TOL).value
     delta = b * b - y * y
     # the first parameter of the representation is 1 (the printed 1/2 fails
-    # the very quadrature cross-check this routine performs)
-    fd = _fd_value(
-        1.0, (0.75 - 0.5 * m, 0.5, 0.5), 1.5,
-        (-delta / (y * y), delta / (a * a - y * y), delta / (c * c - y * y)),
-    )
-    rhs = y ** (m - 1.5) * math.sqrt(delta / ((y * y - a * a) * (c * c - y * y))) * fd
-    abs_err = abs(quad - rhs)
-    rel_err = abs_err / abs(rhs)
-    return EvalReport(
+    # the very quadrature cross-check this record performs)
+    return IdentityRecord(
         f"rep-sextic[{tag}]", "order-3 representation of the even-sextic-radical integral",
-        quad, rhs, abs_err, rel_err, "pass" if rel_err <= 1e-8 else "fail",
-        time.perf_counter() - start,
+        _quad_plan(g, (0.0, -0.5), y, b),
+        _fd_plan(
+            y ** (m - 1.5) * math.sqrt(delta / ((y * y - a * a) * (c * c - y * y))),
+            1.0, (0.75 - 0.5 * m, 0.5, 0.5), 1.5,
+            (-delta / (y * y), delta / (a * a - y * y), delta / (c * c - y * y)),
+        ),
     )
 
 
-def _quartic_case(tag: str, a, b, c, d, m) -> EvalReport:
-    start = time.perf_counter()
-
+def _quartic_case(tag: str, a, b, c, d, m) -> IdentityRecord:
     def g(x, dl, dh):
         return x ** m / math.sqrt(dl * dh * (c - x) * (d - x))
 
-    quad = integrate(_dist_spec(g, exponents=(-0.5, -0.5)), a, b, FINITE_QUAD_TOL).value
-    fd = _fd_value(
-        0.5, (-m, 0.5, 0.5), 1.0,
-        ((a - b) / a, (b - a) / (c - a), (b - a) / (d - a)),
-    )
-    rhs = math.pi * a ** m / math.sqrt((c - a) * (d - a)) * fd
-    abs_err = abs(quad - rhs)
-    rel_err = abs_err / abs(rhs)
-    return EvalReport(
+    return IdentityRecord(
         f"rep-quartic[{tag}]", "order-3 representation of the complete quartic-radical integral",
-        quad, rhs, abs_err, rel_err, "pass" if rel_err <= 1e-8 else "fail",
-        time.perf_counter() - start,
+        _quad_plan(g, (-0.5, -0.5), a, b),
+        _fd_plan(
+            math.pi * a ** m / math.sqrt((c - a) * (d - a)),
+            0.5, (-m, 0.5, 0.5), 1.0,
+            ((a - b) / a, (b - a) / (c - a), (b - a) / (d - a)),
+        ),
     )
 
 
 def representation_formulas_check() -> list[EvalReport]:
     """Quadrature vs. hypergeometric value for the three stated formulas."""
-    s73 = math.sqrt(7.0 / 3.0)
-    reports = [
-        _quintic_case("source", -2.0 * s73, -3.0, 1.0, s73, 2.0, 2.0 * s73),
-        _quintic_case("generic", -2.0, -1.0, 0.5, 1.0, 2.0, 3.0),
-        _sextic_case("source-m2", _G3_P1, _G3_HI, _G3_P2, _G3_LO, 2),
-        _sextic_case("source-m0", _G3_P1, _G3_HI, _G3_P2, _G3_LO, 0),
-        _sextic_case("generic", 0.3, 0.9, 1.4, 0.5, 1),
-        _quartic_case("source", _G4_LO, 84.0, _G4_FAR, 624.0, -0.25),
-        _quartic_case("generic", 1.0, 2.0, 4.0, 7.0, 1),
-    ]
-    return reports
+    return run_all(REPRESENTATIONS, check_reduction)
+
+
+# ---------------------------------------------------------------------------
+# the registries, id -> record, built once at import
+
+REDUCTIONS: dict[str, ReductionRecord] = {r.id: r for r in (
+    _jacobi_g2(),
+    _hermite_ugu(),
+    _goursat_dig(),
+    _goursat_gb0(),
+    _goursat_011b(),
+    _hermite_b0(),
+    _hermite_full(),
+    _hermite_g3(),
+    _maier_g4(),
+    *(_legendre_z1(n, a) for n, a in ((4, 1), (6, 1), (6, 2), (8, 1), (8, 3))),
+    *(_legendre_z2(n, a) for n, a in ((4, 3), (6, 4), (8, 5))),
+)}
+
+_S73 = math.sqrt(7.0 / 3.0)
+REPRESENTATIONS: dict[str, IdentityRecord] = {r.id: r for r in (
+    _quintic_case("source", -2.0 * _S73, -3.0, 1.0, _S73, 2.0, 2.0 * _S73),
+    _quintic_case("generic", -2.0, -1.0, 0.5, 1.0, 2.0, 3.0),
+    _sextic_case("source-m2", _G3_P1, _G3_HI, _G3_P2, _G3_LO, 2),
+    _sextic_case("source-m0", _G3_P1, _G3_HI, _G3_P2, _G3_LO, 0),
+    _sextic_case("generic", 0.3, 0.9, 1.4, 0.5, 1),
+    _quartic_case("source", _G4_LO, 84.0, _G4_FAR, 624.0, -0.25),
+    _quartic_case("generic", 1.0, 2.0, 4.0, 7.0, 1),
+)}
+
+# everything `lauricella reduce` checks
+CHECKS: dict[str, IdentityRecord] = {
+    **{id: _check_record(r) for id, r in REDUCTIONS.items()}, **REPRESENTATIONS,
+}

@@ -138,12 +138,20 @@ class TestVerifyCommand:
         assert rows[0]["id"] == "enu5-1"
         assert rows[0]["lhs"]["im"] == pytest.approx(-0.9270373386506859, rel=1e-10)
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYPER_THREADS", "3")
+    def test_json_rows_ordered_by_id(self, capsys):
         code = main(["verify", "--filter", "effe1*", "--format", "json"])
         rows = json.loads(capsys.readouterr().out)
         assert code == 0
         assert [r["id"] for r in rows] == sorted(r["id"] for r in rows)
+
+
+    def test_tolerance_below_quadrature_floor(self, capsys):
+        # the quadrature target is floored at 1e-13, so a tight --tol fails
+        # records instead of failing to evaluate them
+        code = main(["verify", "--tol", "1e-17"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "evaluation error" not in out
 
 
 class TestReduceCommand:
@@ -167,3 +175,17 @@ class TestReduceCommand:
         assert code == 0
         assert len(rows) == 3
         assert all(row["status"] == "pass" for row in rows)
+
+    def test_tight_tolerance_fails_without_evaluation_errors(self, capsys):
+        code = main(["reduce", "--tol", "1e-15"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "evaluation error" not in out
+
+    def test_representations_honour_tolerance(self, capsys):
+        # their rel_err reaches 9.5e-16, so 1e-16 must fail some of them
+        code = main(["reduce", "--filter", "rep-*", "--tol", "1e-16", "--format", "json"])
+        rows = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert len(rows) == 7
+        assert any(row["status"] == "fail" for row in rows)

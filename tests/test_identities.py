@@ -1,14 +1,17 @@
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
-from lauricella import registry, verify, verify_all
+from lauricella import catalog, check_reduction, registry, verify, verify_all
 from lauricella.identities import (
     IdentityRecord,
     _search_correction,
     _verify_record,
+    run_all,
 )
+from lauricella.reductions import CHECKS, REDUCTIONS, REPRESENTATIONS
 
 BASE_IDS = {
     "lunga", "enu5-1", "kummer", "effe1", "effe1b", "fd3", "fd3b", "fdn", "fdnb",
@@ -170,3 +173,57 @@ class TestRealnessInvariant:
         for id in ("effe1[a=1.0,b=0.5]", "fd3", "k12rep", "fd8a", "serret-fd6"):
             report = verify(id)
             assert abs(report.lhs_value.imag) < 1e-9 * (1.0 + abs(report.lhs_value))
+
+
+class TestOneProtocol:
+    def test_closed_form_mismatch_fails(self):
+        record = IdentityRecord(
+            id="synthetic-closed",
+            anchor="synthetic record whose closed form is off by 2",
+            lhs=lambda ctx: complex(math.pi),
+            rhs=lambda ctx: complex(math.pi),
+            closed_form=lambda: complex(math.pi + 2.0),
+        )
+        report = _verify_record(record)
+        assert report.status == "fail"
+        assert report.note.startswith("closed-form mismatch")
+
+    def test_closed_form_agreement_is_noted(self):
+        report = check_reduction("goursat-gb0")
+        assert report.status == "pass"
+        assert report.note.startswith("closed form agrees to")
+
+    def test_representation_correction_search(self):
+        record = REPRESENTATIONS["rep-quintic[generic]"]
+        doubled = replace(record, rhs=lambda ctx: 2.0 * record.rhs(ctx))
+        report = _verify_record(doubled)
+        assert report.status == "pass_with_erratum"
+        assert "correction x (0.5)" in report.note
+
+    def test_representation_by_id(self):
+        report = check_reduction("rep-quintic[source]")
+        assert report.status == "pass"
+        assert report.rel_err <= 1e-8
+
+    def test_unknown_ids(self):
+        with pytest.raises(KeyError):
+            check_reduction("rep-no-such-case")
+        with pytest.raises(KeyError, match="did you mean"):
+            verify("kummer")
+
+    def test_evaluation_error_is_a_fail_row(self):
+        def check(id, tol, quad_tol):
+            raise ValueError("boom")
+
+        reports = run_all(REPRESENTATIONS, check, "rep-quartic*")
+        assert [r.id for r in reports] == ["rep-quartic[generic]", "rep-quartic[source]"]
+        for report in reports:
+            assert report.status == "fail"
+            assert report.note == "evaluation error: boom"
+            assert report.anchor == REPRESENTATIONS[report.id].anchor
+
+    def test_registries_are_id_maps(self):
+        for records in (catalog.RECORDS, REDUCTIONS, CHECKS):
+            assert all(id == record.id for id, record in records.items())
+        assert set(CHECKS) == set(REDUCTIONS) | set(REPRESENTATIONS)
+        assert len(CHECKS) == 24

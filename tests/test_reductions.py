@@ -82,6 +82,12 @@ class TestChecks:
         with pytest.raises(KeyError):
             check_reduction("no-such-reduction")
 
+    def test_quad_tol_takes_effect(self):
+        default = check_reduction("goursat-gb0")
+        loose = check_reduction("goursat-gb0", quad_tol=1e-6)
+        assert loose.status == "pass"
+        assert (loose.lhs_value, loose.rhs_value) != (default.lhs_value, default.rhs_value)
+
 
 class TestSubstitutions:
     def test_endpoints_land_on_interval_limits(self):
