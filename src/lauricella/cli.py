@@ -1,12 +1,14 @@
 """Command-line front end: ad-hoc evaluation, verification runs, reduction checks.
 
 Exit codes: 0 success, 1 verification failures, 2 argument errors,
-3 evaluation errors.
+3 evaluation errors.  A reader that closes stdout early (``| head``) ends the
+run quietly with 1, as Python itself exits on a broken pipe.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING, Optional
 
@@ -156,7 +158,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=None, help="relative tolerance override")
     parser.add_argument("--quad-tol", dest="quad_tol", type=float, default=DEFAULT_QUAD_TOL)
-    parser.add_argument("--filter", default=None, help="glob over record ids")
+    parser.add_argument("--filter", default=None, help="a record id, or a glob over record ids")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -204,10 +206,17 @@ def main(argv: Optional[list[str]] = None) -> int:
                 print(f"eval {args.function} requires --{name}", file=sys.stderr)
                 return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except _EVAL_ERRORS as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # stdout is flushed once more at exit; point it at devnull so that
+        # flush cannot raise again (the SIGPIPE note in Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -174,6 +174,8 @@ def run_all(
 ) -> list[EvalReport]:
     """`check` every record of an id -> record registry that matches `filter`.
 
+    `filter` is an exact id or else a glob; an exact id comes first because
+    grid ids such as ``kummer[a=1.0,b=0.5]`` read as glob character classes.
     The report list is ordered by id; a record whose evaluation raises is a
     ``fail`` row with the error in its note.
     """
@@ -185,7 +187,11 @@ def run_all(
                               math.inf, math.inf, "fail", 0.0,
                               f"evaluation error: {exc}")
 
-    return [run(id) for id in sorted(records) if filter is None or fnmatch.fnmatch(id, filter)]
+    if filter in records:
+        ids = [filter]
+    else:
+        ids = sorted(id for id in records if filter is None or fnmatch.fnmatch(id, filter))
+    return [run(id) for id in ids]
 
 
 def lookup(records: dict, id: str):

@@ -12,15 +12,28 @@ full 1e-11 therefore receive the node's distance to both panel endpoints,
 computed in the t-domain to full relative precision, via
 ``IntegrandSpec.distance_evaluator``.
 
+Truncation: each side of a panel (the nodes towards lo and those towards hi)
+keeps a reach, the furthest |t| at which a term met the tail floor.  The
+floor is relative to the running sum, 1e-3*tol*|sum|, so a term below it moves
+the panel's value by under 1e-3*tol of itself, whatever the value's size.
+Level 0 evaluates all of its nodes and sets each reach against its own sum;
+every later level evaluates a side only out to its reach plus a margin of
+max(2h, 0.5) in t, and a term inside the margin that still meets the floor
+pushes the reach out.  A side that decays fast thus stops early, whatever the
+other side does.
+
 Samples may be float or complex and are used as returned.  Each one must be
-finite: the panel loop tests the weighted term once per node (the sum of its
-real and imaginary parts is finite) and re-checks the raw sample only when
-that test fails, so a non-finite sample raises :class:`QuadratureError` at the
-node that produced it, while a finite sample whose term overflows does not.
+finite.  Finiteness is checked once per level, on the running sum: a finite
+sum proves every sample in it finite.  When the sum is not finite, the level
+is re-evaluated to name the first non-finite sample in the
+:class:`QuadratureError`; when every sample is finite, the integral has left
+the float range and that is the error raised.  An integrand that raises
+``OverflowError`` gives a :class:`QuadratureError` too.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -34,6 +47,7 @@ __all__ = [
 ]
 
 MAX_LEVEL = 12
+_REACH_MARGIN = 0.5        # least |t| past a side's reach that each level evaluates
 _SIGMA_FLOOR = 5e-300      # drop nodes once the near-endpoint distance underflows
 _SEMI_INF_U_FLOOR = 1e-40  # mapped semi-infinite integrands are cut below this
 
@@ -87,53 +101,116 @@ class QuadratureResult:
     evaluations: int
 
 
-# Node tables, shared by every panel.  A node is (sigma_lo, sigma_hi, weight)
-# with sigma_lo + sigma_hi = 1 the normalized positions measured from each
-# panel end, both kept to full relative precision.
-_node_cache: dict[int, list[tuple[float, float, float]]] = {}
+# Node tables, shared by every panel.  Each level's nodes split into the ones
+# towards lo and the ones towards hi, each list running outward from the
+# midpoint; the node at t = 0 goes with lo.  A node is
+# (|t|, offset, sigma_lo, sigma_hi, weight): sigma_lo + sigma_hi = 1 are the
+# normalized distances to the panel ends, kept to full relative precision, and
+# x = end + span*offset from the end its side runs towards.
+_Node = tuple[float, float, float, float, float]
+_node_cache: dict[int, tuple[list[_Node], list[_Node]]] = {}
 
 
 def _make_node(t: float) -> Optional[tuple[float, float, float]]:
+    """(distance to the end t runs towards, distance to the other, weight)."""
     theta = 0.5 * math.pi * math.sinh(t)
     try:
         e = math.exp(-2.0 * abs(theta))
     except OverflowError:
         return None
-    near = e / (1.0 + e)          # distance to the endpoint t runs towards
+    near = e / (1.0 + e)
     if near < _SIGMA_FLOOR:
         return None
-    far = 1.0 / (1.0 + e)
-    weight = math.pi * math.cosh(t) * e / ((1.0 + e) * (1.0 + e))
-    if t >= 0.0:
-        return (far, near, weight)
-    return (near, far, weight)
+    return near, 1.0 / (1.0 + e), math.pi * math.cosh(t) * e / ((1.0 + e) * (1.0 + e))
 
 
-def _nodes(level: int) -> list[tuple[float, float, float]]:
-    """New nodes introduced at `level` (odd multiples of h except level 0)."""
+def _nodes(level: int) -> tuple[list[_Node], list[_Node]]:
+    """The (towards lo, towards hi) nodes new at `level`: odd multiples of h, except level 0."""
     cached = _node_cache.get(level)
     if cached is not None:
         return cached
-    h = 0.5 ** level
-    out = []
     if level == 0:
-        ks: Sequence[float] = range(0, 64)
-        step = 1.0
+        ts = [float(k) for k in range(64)]
     else:
-        ks = range(1, 64 * 2 ** level, 2)
-        step = h
-    for k in ks:
-        t = k * step
+        h = 0.5 ** level
+        ts = [k * h for k in range(1, 64 * 2 ** level, 2)]
+    towards_lo: list[_Node] = []
+    towards_hi: list[_Node] = []
+    for t in ts:
         node = _make_node(t)
         if node is None:
             break
-        out.append(node)
-        if k > 0 or level > 0:
-            mirrored = _make_node(-t)
-            if mirrored is not None:
-                out.append(mirrored)
-    _node_cache[level] = out
-    return out
+        near, far, weight = node
+        towards_lo.append((t, near, near, far, weight))
+        if t > 0.0:
+            towards_hi.append((t, -near, far, near, weight))
+    _node_cache[level] = (towards_lo, towards_hi)
+    return towards_lo, towards_hi
+
+
+def _sweep(
+    g: Callable[[float, float, float], complex],
+    nodes: list[_Node],
+    end: float,
+    lo: float,
+    hi: float,
+    total: complex,
+    reach: float,
+    margin: float,
+    floor: float,
+    collision_ok: bool,
+    terms: Optional[list[tuple[float, complex]]] = None,
+) -> tuple[complex, float, int, bool]:
+    """Add weight*g over one side's nodes, out to |t| = reach + margin, to `total`.
+
+    A term at or above `floor` past the reach moves the reach out to its |t|.
+    Returns (total, reach, evaluations, whether a node collided with an end).
+    The evaluated nodes are exactly those with |t| <= reach + margin, less
+    the collided ones, for the returned reach.  `terms`, when given, collects
+    (|t|, term) for every evaluated node.
+    """
+    span = hi - lo
+    evaluations = 0
+    collided = False
+    limit = reach + margin
+    for t, offset, sigma_lo, sigma_hi, weight in nodes:
+        if t > limit:
+            break
+        x = end + span * offset
+        if not collision_ok and not lo < x < hi:
+            # the coordinate rounded onto an end, where a plain evaluator
+            # cannot be trusted; a distance evaluator still gets exact distances
+            collided = True
+            continue
+        term = weight * g(x, span * sigma_lo, span * sigma_hi)
+        evaluations += 1
+        total += term
+        if terms is not None:
+            terms.append((t, term))
+        if t > reach and abs(term) >= floor:
+            reach = t
+            limit = t + margin
+    return total, reach, evaluations, collided
+
+
+def _first_nonfinite(
+    g: Callable[[float, float, float], complex],
+    sides: Sequence[tuple[list[_Node], float, float]],
+    lo: float,
+    hi: float,
+    collision_ok: bool,
+) -> Optional[float]:
+    """Re-evaluate a level's nodes, (nodes, end, limit) per side, for its first non-finite sample."""
+    span = hi - lo
+    for nodes, end, limit in sides:
+        for t, offset, sigma_lo, sigma_hi, _weight in nodes:
+            if t > limit:
+                break
+            x = end + span * offset
+            if collision_ok or lo < x < hi:
+                if not cmath.isfinite(g(x, span * sigma_lo, span * sigma_hi)):
+                    return x
+    return None
 
 
 def _integrate_panel(
@@ -150,45 +227,40 @@ def _integrate_panel(
     value = 0.0 + 0.0j
     err = math.inf
     collided_lo = collided_hi = False
-    isfinite = math.isfinite
+    reach_lo = reach_hi = math.inf   # level 0 evaluates every node
+    first_lo: list[tuple[float, complex]] = []   # level 0's (|t|, term) per side
+    first_hi: list[tuple[float, complex]] = []
     for level in range(MAX_LEVEL + 1):
         h = 0.5 ** level
-        scale = span * h
-        # term cutoff on the scale of the final value, not of level_sum
-        floor = 1e-3 * tol * max(1.0, scale * abs(level_sum)) / scale
-        tail_small = 0
-        for sigma_lo, sigma_hi, weight in _nodes(level):
-            d_lo = span * sigma_lo
-            d_hi = span * sigma_hi
-            x = lo + d_lo if sigma_lo <= 0.5 else hi - d_hi
-            if not (lo < x < hi):
-                # the coordinate rounded onto an endpoint; the distances are
-                # still exact, so keep the node when g works off them
-                if not collision_ok:
-                    if sigma_lo <= 0.5:
-                        collided_lo = True
-                    else:
-                        collided_hi = True
-                    continue
-            sample = g(x, d_lo, d_hi)
-            evaluations += 1
-            term = weight * sample
-            # an inf or nan part of the sample makes this sum non-finite; a
-            # sum that merely overflows is caught by re-checking the sample
-            if not isfinite(term.real + term.imag) and not (
-                isfinite(sample.real) and isfinite(sample.imag)
-            ):
+        margin = max(2.0 * h, _REACH_MARGIN)
+        # a term below the floor moves the value by under 1e-3*tol of itself
+        floor = 1e-3 * tol * abs(level_sum)
+        towards_lo, towards_hi = _nodes(level)
+        level_sum, reach_lo, n_lo, hit_lo = _sweep(
+            g, towards_lo, lo, lo, hi, level_sum, reach_lo, margin, floor, collision_ok,
+            first_lo if level == 0 else None,
+        )
+        level_sum, reach_hi, n_hi, hit_hi = _sweep(
+            g, towards_hi, hi, lo, hi, level_sum, reach_hi, margin, floor, collision_ok,
+            first_hi if level == 0 else None,
+        )
+        evaluations += n_lo + n_hi
+        collided_lo = collided_lo or hit_lo
+        collided_hi = collided_hi or hit_hi
+        if not cmath.isfinite(level_sum):
+            # a finite sum proves every sample in it finite; only now look
+            x = _first_nonfinite(
+                g, ((towards_lo, lo, reach_lo + margin), (towards_hi, hi, reach_hi + margin)), lo, hi, collision_ok
+            )
+            if x is not None:
                 raise QuadratureError(f"non-finite integrand sample at x = {x}")
-            level_sum += term
-            # Nodes are generated outward within a level; once contributions
-            # are far below tolerance the remaining tail cannot matter.
-            if abs(term) < floor:
-                tail_small += 1
-                if tail_small >= 12:
-                    break
-            else:
-                tail_small = 0
-        value = scale * level_sum
+            raise QuadratureError(f"integral over [{lo}, {hi}] exceeds the floating-point range")
+        if level == 0:
+            # level 0 saw every node; each side reaches as far as a term meets its own floor
+            floor = 1e-3 * tol * abs(level_sum)
+            reach_lo = max((t for t, term in first_lo if abs(term) >= floor), default=0.0)
+            reach_hi = max((t for t, term in first_hi if abs(term) >= floor), default=0.0)
+        value = span * h * level_sum
         if prev_value is not None:
             err = abs(value - prev_value)
             if err <= tol * max(1.0, abs(value)) and level >= 2:
@@ -217,7 +289,11 @@ def integrate(
     panel_tol = tol / max(1, len(points) - 1)
     skipped_tail = 0.0
     for i, (a, b) in enumerate(zip(points[:-1], points[1:])):
-        value, err, n, hit_lo, hit_hi = _integrate_panel(g, a, b, panel_tol, collision_ok)
+        try:
+            value, err, n, hit_lo, hit_hi = _integrate_panel(g, a, b, panel_tol, collision_ok)
+        except OverflowError:
+            # raised by the integrand itself, or by abs() of a huge finite sum
+            raise QuadratureError(f"integrand on [{a}, {b}] exceeds the floating-point range") from None
         total += value
         total_err += err
         evaluations += n
@@ -232,7 +308,7 @@ def integrate(
                 width = 1.2e-16 * max(1.0, abs(coord))
                 skipped_tail += width ** (1.0 + beta) / (1.0 + beta) * max(1.0, abs(value))
     total_err += skipped_tail
-    if total_err > tol * max(1.0, abs(total)):
+    if not total_err <= tol * max(1.0, abs(total)):   # a nan estimate fails too
         detail = "; singular-endpoint integrands need a distance_evaluator" if skipped_tail else ""
         raise QuadratureError(
             f"quadrature did not converge: error estimate {total_err:.3e} > tol {tol:.3e}{detail}"

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from lauricella.cli import main, _parse_complex, _parse_complex_list
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestParsing:
@@ -68,6 +73,12 @@ class TestEval:
         code = main(["eval", "2f1", "--a", "1", "--b", "1", "--c", "-1", "--x", "0.5"])
         assert code == 3
         assert "non-positive integer" in capsys.readouterr().err
+
+    def test_integrand_past_float_range_is_exit_3(self, capsys):
+        # (1 + 1000 u)**300 overflows inside the Euler integrand
+        code = main(["eval", "2f1", "--a", "0.5", "--b=-300", "--c", "1.5", "--x=-1000"])
+        assert code == 3
+        assert "exceeds the floating-point range" in capsys.readouterr().err
 
     def test_large_gamma_arguments_print_or_exit_3(self, capsys):
         # Gamma(170.5) and Gamma(171) are finite, but their power term overflows
@@ -138,6 +149,25 @@ class TestVerifyCommand:
         assert rows[0]["id"] == "enu5-1"
         assert rows[0]["lhs"]["im"] == pytest.approx(-0.9270373386506859, rel=1e-10)
 
+    def test_exact_id_with_brackets(self, capsys):
+        # brackets in a grid id would be a glob character class
+        code = main(["verify", "--filter", "kummer[a=1.0,b=0.5]", "--format", "json"])
+        rows = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [row["id"] for row in rows] == ["kummer[a=1.0,b=0.5]"]
+
+    def test_closed_stdout_exits_quietly(self):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lauricella.cli", "verify", "--filter", "kummer*"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        proc.stdout.close()    # the reader goes away before the report is written
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""
+
     def test_json_rows_ordered_by_id(self, capsys):
         code = main(["verify", "--filter", "effe1*", "--format", "json"])
         rows = json.loads(capsys.readouterr().out)
@@ -175,6 +205,12 @@ class TestReduceCommand:
         assert code == 0
         assert len(rows) == 3
         assert all(row["status"] == "pass" for row in rows)
+
+    def test_exact_id_with_brackets(self, capsys):
+        code = main(["reduce", "--filter", "rep-quintic[source]", "--format", "json"])
+        rows = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [(row["id"], row["status"]) for row in rows] == [("rep-quintic[source]", "pass")]
 
     def test_tight_tolerance_fails_without_evaluation_errors(self, capsys):
         code = main(["reduce", "--tol", "1e-15"])

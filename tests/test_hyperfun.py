@@ -603,7 +603,7 @@ def test_euler_evaluation_count_is_pinned(monkeypatch):
     verify_all()
     check_all_reductions()
     representation_formulas_check()
-    assert total == 11_529
+    assert total == 9_597
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lauricella import (
     IntegrandSpec,
@@ -100,6 +103,61 @@ class TestFiniteIntervals:
         spec = IntegrandSpec(evaluator=lambda x: x ** -0.75, endpoint_exponents=(-0.75, 0.0))
         result = integrate(spec, 0.0, 1.0, 1e-12)
         assert abs(result.value.real - 4.0) < 1e-12
+
+
+class TestTruncation:
+    """Each side of a panel is sampled out to where its terms stop mattering."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.floats(-0.95, 4.0, exclude_min=True), st.floats(-0.95, 4.0, exclude_min=True))
+    def test_beta_integrals(self, alpha, beta):
+        spec = IntegrandSpec(
+            evaluator=lambda u: u ** alpha * (1.0 - u) ** beta,
+            endpoint_exponents=(alpha, beta),
+            distance_evaluator=lambda _u, d_lo, d_hi: d_lo ** alpha * d_hi ** beta,
+        )
+        want = math.exp(math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0))
+        got = integrate(spec, 0.0, 1.0, 1e-11).value
+        assert abs(got - want) <= 1e-10 * want
+
+    def test_asymmetric_integrand_count_is_pinned(self):
+        # u**-0.5 (1-u)**4 decays slowly towards 0 and fast towards 1; a run of
+        # 12 small terms counted across both sides took 163 evaluations
+        spec = IntegrandSpec(
+            evaluator=lambda u: u ** -0.5 * (1.0 - u) ** 4,
+            endpoint_exponents=(-0.5, 0.0),
+            distance_evaluator=lambda _u, d_lo, d_hi: d_lo ** -0.5 * d_hi ** 4,
+        )
+        result = integrate(spec, 0.0, 1.0, 1e-11)
+        assert result.value == pytest.approx(256.0 / 315.0, rel=1e-13)
+        assert result.evaluations == 109
+
+    def test_tail_floor_scales_with_the_integral(self):
+        # an integral of 1e-30 meets the absolute acceptance at level 2, but its
+        # terms are weighed against its own size, so no node that matters is cut
+        c = 1e-30
+        value = integrate(IntegrandSpec(evaluator=lambda x: c * math.exp(x)), 0.0, 1.0, 1e-11).value
+        assert abs(value / c - (math.e - 1.0)) <= 1e-9
+
+    def test_nan_at_one_node_names_it(self):
+        seen = []
+        integrate(IntegrandSpec(evaluator=lambda x: seen.append(x) or math.exp(x)), 0.0, 1.0, 1e-11)
+        bad = seen[len(seen) // 2]   # a node of a finer level than the first
+        spec = IntegrandSpec(evaluator=lambda x: math.nan if x == bad else math.exp(x))
+        with pytest.raises(QuadratureError, match=re.escape(f"non-finite integrand sample at x = {bad}")):
+            integrate(spec, 0.0, 1.0, 1e-11)
+
+    def test_integral_past_float_range_raises(self):
+        spec = IntegrandSpec(evaluator=lambda x: 1e308)
+        with pytest.raises(QuadratureError, match="exceeds the floating-point range"):
+            integrate(spec, 0.0, 1.0, 1e-11)
+
+    def test_overflowing_integrand_raises(self):
+        def overflow(_x):
+            return 2.0 ** 2000.0
+
+        with pytest.raises(QuadratureError, match="exceeds the floating-point range"):
+            integrate(IntegrandSpec(evaluator=overflow), 0.0, 1.0, 1e-11)
 
 
 class TestSemiInfinite:
