@@ -81,6 +81,15 @@ def _sin_pi(z: complex) -> complex:
     return -value if n % 2 else value
 
 
+def _check_finite(*values: complex) -> None:
+    """Reject inf and NaN parts at entry, before they reach a loop or a round()."""
+    if cmath.isfinite(sum(values)):  # one test for the usual case; a sum that overflows looks again
+        return
+    for value in values:
+        if not cmath.isfinite(value):
+            raise DomainError(f"arguments must be finite, got {value}")
+
+
 def _check_pole(z: complex) -> None:
     if abs(z.imag) < 1e-12:
         nearest = round(z.real)
@@ -102,9 +111,10 @@ def gamma(z: complex) -> complex:
     Uses a fixed published rational-series approximation on Re z >= 1/2 and
     the reflection formula elsewhere.  Raises :class:`GammaPoleError` within
     1e-12 of a non-positive integer and :class:`DomainError` when the value
-    leaves the floating-point range (Re z above about 171.6).
+    leaves the floating-point range (Re z above about 171.6) or is not finite.
     """
     z = complex(z)
+    _check_finite(z)
     _check_pole(z)
     if z.real < 0.5:
         # gamma(z) gamma(1-z) = pi / sin(pi z)

@@ -18,6 +18,12 @@ Appell F1 is summed by total degree n = m1 + m2: its n-th term is
 (a)_n/(c)_n p_n, with p_n the coefficient of t**n in
 (1 - x1 t)**(-b1) (1 - x2 t)**(-b2), which a three-term recurrence gives in
 one step per term, so N terms cost O(N) instead of the double series' O(N**2).
+
+Off the disk, 2F1 first tries its two-term connection formula at whichever of
+1/x and 1/(1-x) is nearer 0 (DLMF 15.8.2, 15.8.3): two Gauss sums, up to seven
+log-Gammas and a power, kept only when its error bound meets the quadrature
+tolerance.  So `hyp2f1` runs, in order: the series at x/(x-1), the series at
+x, the connection formula, the integral in either parameter order.
 Everywhere else the functions are computed from the one-dimensional integral
 representation
 
@@ -44,11 +50,21 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import BranchSide, DEFAULT_SIDE, DomainError, _log_gamma, gamma, principal_pow
+from .core import (
+    BranchSide,
+    DEFAULT_SIDE,
+    DomainError,
+    GammaPoleError,
+    _check_finite,
+    _log_gamma,
+    gamma,
+    principal_pow,
+)
 from .quadrature import IntegrandSpec, QuadratureError, integrate
 
 __all__ = [
@@ -68,6 +84,10 @@ DEFAULT_QUAD_TOL = 1e-11
 _SERIES_RADIUS = 0.9
 _MAX_TERMS = 100_000
 _LN2 = math.log(2.0)
+_EPS = sys.float_info.epsilon
+# rounding of a connection term's exponent, per unit size of each logarithm in it
+_CONNECTION_ROUNDING = 8.0 * _EPS
+_LOG_RANGE = 700.0  # |log| of a connection factor that keeps it a normal float
 
 
 @dataclass(frozen=True)
@@ -84,6 +104,7 @@ class HyperSpec:
         object.__setattr__(self, "bs", tuple(complex(b) for b in self.bs))
         object.__setattr__(self, "c", complex(self.c))
         object.__setattr__(self, "xs", tuple(complex(x) for x in self.xs))
+        _check_finite(self.a, *self.bs, self.c, *self.xs)
         if len(self.bs) != len(self.xs):
             raise DomainError("bs and xs must have equal length")
         if not self.bs:
@@ -97,7 +118,8 @@ class HyperSpec:
 
 def _check_c(c: complex) -> None:
     """Reject c at a pole of the series coefficients 1/(c)_n."""
-    if abs(c.imag) < 1e-12 and round(c.real) <= 0 and abs(c.real - round(c.real)) < 1e-12:
+    # c.real <= 0.5 is round(c.real) <= 0, tested first as the cheapest
+    if c.real <= 0.5 and abs(c.imag) < 1e-12 and abs(c.real - round(c.real)) < 1e-12:
         raise DomainError(f"c must not be a non-positive integer, got {c}")
 
 
@@ -115,24 +137,66 @@ def _near_one(x: complex) -> bool:
 def hyp2f1_series(a: complex, b: complex, c: complex, x: complex) -> complex:
     """Gauss series, valid for |x| <= 0.9."""
     a, b, c, x = complex(a), complex(b), complex(c), complex(x)
+    _check_finite(a, b, c, x)
     _check_c(c)
     if abs(x) > _SERIES_RADIUS + 1e-12:
         raise DomainError(f"series restricted to |x| <= {_SERIES_RADIUS}, got |x| = {abs(x)}")
+    return _gauss_sum(a, b, c, x)[0]
+
+
+def _gauss_sum(a: complex, b: complex, c: complex, x: complex) -> tuple[complex, float]:
+    """The Gauss series at finite a, b, x, admissible c and |x| <= 0.9, and a bound on its error.
+
+    The sum stops at a term that is exactly 0, or after two consecutive
+    terms below 1e-16 of it once the term ratio |x| |a+k| |b+k| / (|c+k| (k+1))
+    is at most rho = (1 + |x|)/2 for every later k.  So a dip of the terms
+    near a zero of a + k or b + k cannot end it before the terms that c + k
+    near 0 blows up.
+
+    The bound is eps * max|term| * terms for the rounding (each term carries
+    a relative rounding error of a few eps, and the sum can be no more
+    accurate than its largest term allows) plus |last term| rho/(1 - rho)
+    for the tail.
+    """
+    # The index k and the 1 of 1 + k are ints in complex arithmetic and
+    # floats in float arithmetic: each addition then takes the interpreter's
+    # fast path, int + int or float + float.
+    indices, one = range(_MAX_TERMS), 1
     if not (a.imag or b.imag or c.imag or x.imag):
         # the same sum in float arithmetic: complex operations with zero
         # imaginary parts round exactly as their real parts do
         a, b, c, x = a.real, b.real, c.real, x.real
+        indices, one = map(float, indices), 1.0
     total = term = 1.0
-    small = 0
-    for m in range(_MAX_TERMS):
-        term = term * (a + m) * (b + m) / ((c + m) * (1 + m)) * x
+    peak = 1.0
+    last_small = -2  # the index of the last term below 1e-16 of the sum
+    for k in indices:
+        term = term * (a + k) * (b + k) / ((c + k) * (one + k)) * x
         total += term
-        if abs(term) < 1e-16 * abs(total):
-            small += 1
-            if small >= 2:
-                return complex(total)
-        else:
-            small = 0
+        size = abs(term)
+        if size < 1e-16 * abs(total):
+            if last_small == k - 1:
+                n = k + 1.0  # the next term's index, and the count of terms less one
+                if size == 0.0:  # every later term is 0 too
+                    return complex(total), _EPS * peak * (n + 1.0)
+                if n > -c.real:
+                    # From n on, |a+k| <= k + |a| and |c+k| >= k + Re c, and
+                    # each quotient of linear factors moves monotonically
+                    # towards 1; the larger numerator over the larger
+                    # denominator gives the smaller bound.
+                    num_lo, num_hi = abs(a), abs(b)
+                    if num_lo > num_hi:
+                        num_lo, num_hi = num_hi, num_lo
+                    den_lo, den_hi = (c.real, 1.0) if c.real < 1.0 else (1.0, c.real)
+                    g = (n + num_lo) / (n + den_lo)
+                    h = (n + num_hi) / (n + den_hi)
+                    r = abs(x)
+                    rho = 0.5 + 0.5 * r
+                    if r * (g if g > 1.0 else 1.0) * (h if h > 1.0 else 1.0) <= rho:
+                        return complex(total), _EPS * peak * (n + 1.0) + size * rho / (1.0 - rho)
+            last_small = k
+        elif size > peak:
+            peak = size
     raise DomainError("series did not converge within the term budget")
 
 
@@ -377,12 +441,19 @@ def hyp2f1(
 ) -> complex:
     """Gauss 2F1 with analytic continuation off the unit disk.
 
-    The series at y = x/(x-1) times (1-x)**(-a) (Pfaff) when |y| < |x| and
-    |y| <= 0.9; else the series at x when |x| <= 0.9; else the integral
-    representation, using whichever of the symmetric parameter orders
-    (a,b) / (b,a) is admissible.
+    The paths are tried in this order:
+
+    1. the series at y = x/(x-1) times (1-x)**(-a) (Pfaff), when |y| < |x|
+       and |y| <= 0.9;
+    2. the series at x, when |x| <= 0.9;
+    3. the two-term connection formula at whichever of w = 1/x and
+       w = 1/(1-x) is nearer 0, when |w| <= 0.9 and its error bound meets
+       ``quad_tol`` (see `_hyp2f1_connection`);
+    4. the integral representation, in whichever of the parameter orders
+       (a,b) / (b,a) is admissible.
     """
     a, b, c, x = complex(a), complex(b), complex(c), complex(x)
+    _check_finite(a, b, c, x)
     _check_c(c)
     if _near_one(x):
         raise DomainError("argument 1 is on the divergence boundary")
@@ -393,6 +464,9 @@ def hyp2f1(
         return principal_pow(1.0 - x, -a) * hyp2f1_series(a, c - b, c, y)
     if r_x <= _SERIES_RADIUS:
         return hyp2f1_series(a, b, c, x)
+    value = _hyp2f1_connection(a, b, c, x, side, quad_tol)
+    if value is not None:
+        return value
     on_cut = _on_cut(x)
     for a_int, b_pow in ((a, b), (b, a)):
         if c.real > a_int.real > 0.0 and not (on_cut and b_pow.real >= 1.0):
@@ -400,6 +474,77 @@ def hyp2f1(
     raise DomainError(
         f"no admissible evaluation path for 2F1(a={a}, b={b}, c={c} | x={x})"
     )
+
+
+def _at_pole(z: complex) -> bool:
+    return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
+
+
+def _hyp2f1_connection(
+    a: complex, b: complex, c: complex, x: complex, side: BranchSide, quad_tol: float
+) -> complex | None:
+    """2F1 off the disk from its 1/x or 1/(1-x) connection formula, or None.
+
+    With w = 1/x (DLMF 15.8.2, p = -x) or w = 1/(1-x) (DLMF 15.8.3, p = 1-x),
+    whichever is nearer 0,
+
+        2F1(a, b; c | x) = G1 p**(-a) 2F1(a, a1; 1+a-b | w)
+                         + G2 p**(-b) 2F1(b, b1; 1+b-a | w),
+        G1 = Gamma(c) Gamma(b-a) / (Gamma(b) Gamma(c-a)),
+        G2 = Gamma(c) Gamma(a-b) / (Gamma(a) Gamma(c-b)),
+
+    with (a1, b1) = (1+a-c, 1+b-c) for 1/x and (c-b, c-a) for 1/(1-x).  A
+    term whose 1/Gamma(b) Gamma(c-a) or 1/Gamma(a) Gamma(c-b) is at a pole
+    is exactly 0.  Each term's factor G p**(-e) is formed as one exponential
+    of a sum of logarithms, so it neither overflows nor underflows on the way.
+
+    The value is returned only when |w| <= 0.9, no log-Gamma raised, both
+    factors lie inside the float range, the value is finite and the error
+    bound is at most quad_tol * |value|.  The bound adds, for each term,
+    the series' rounding bound and the rounding of the exponent (a few eps
+    times the size of each of its logarithms) times the term's size.  It
+    refuses integer a - b (a Gamma pole), near-integer a - b and any other
+    cancellation between the terms, and sums whose own terms cancel.  A NaN
+    anywhere fails the test too.
+    """
+    w_x, w_1mx = 1.0 / x, 1.0 / (1.0 - x)
+    if abs(w_x) <= abs(w_1mx):
+        w, p, a1, b1 = w_x, -x, 1.0 + a - c, 1.0 + b - c
+    else:
+        w, p, a1, b1 = w_1mx, 1.0 - x, c - b, c - a
+    if not abs(w) <= _SERIES_RADIUS:
+        return None
+    if _on_cut(x):
+        # on the cut |1/x| < |1/(1-x)|, so p = -x: the limit x - i0 (BELOW)
+        # is p + i0, at arg +pi, the opposite side as in _pfaff_args
+        log_p = complex(math.log(x.real), math.pi if side is BranchSide.BELOW else -math.pi)
+    else:
+        log_p = cmath.log(p)
+    value, error = 0j, 0.0
+    try:
+        # integer a - b puts Gamma(b-a) or Gamma(a-b) at a pole, and with it
+        # the series' lower parameter 1 +- (a-b): both raise before any sum
+        lg_c, lg_ba, lg_ab = _log_gamma(c), _log_gamma(b - a), _log_gamma(a - b)
+        for e, e1, d, lg_d, r1, r2 in ((a, a1, b - a, lg_ba, b, c - a), (b, b1, a - b, lg_ab, a, c - b)):
+            if _at_pole(r1) or _at_pole(r2):
+                continue
+            parts = (lg_c, lg_d, -_log_gamma(r1), -_log_gamma(r2), -e * log_p)
+            log_factor = sum(parts)
+            if not abs(log_factor.real) <= _LOG_RANGE:
+                return None
+            total, bound = _gauss_sum(e, e1, 1.0 - d, w)
+            factor = cmath.exp(log_factor)
+            value += factor * total
+            exponent_error = _CONNECTION_ROUNDING * (1.0 + sum(abs(part) for part in parts))
+            error += abs(factor) * (bound + exponent_error * abs(total))
+    except (DomainError, GammaPoleError, OverflowError):  # OverflowError: sin(pi z) at large |Im z|
+        return None
+    if not (cmath.isfinite(value) and error <= quad_tol * abs(value)):
+        return None
+    if not (a.imag or b.imag or c.imag or x.imag) and x.real < 1.0:
+        # real off the cut: the Gamma reflections leave only rounding in Im
+        return complex(value.real, 0.0)
+    return value
 
 
 def appell_f1(
@@ -420,6 +565,7 @@ def appell_f1(
     """
     a, b1, b2, c = complex(a), complex(b1), complex(b2), complex(c)
     x1, x2 = complex(x1), complex(x2)
+    _check_finite(a, b1, b2, c, x1, x2)
     _check_c(c)
     if _near_one(x1) or _near_one(x2):
         raise DomainError("argument 1 is on the divergence boundary")

@@ -278,7 +278,7 @@ def integrate(
     """Integrate over [lo, hi], splitting at declared interior singularities."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol < 1e-13:
+    if not tol >= 1e-13:   # a nan tol fails too
         raise ValueError(f"tol must be >= 1e-13, got {tol}")
     splits = [p for p in spec.interior_singularities if lo < p < hi]
     points = [lo] + splits + [hi]
@@ -328,7 +328,7 @@ def integrate_semi_infinite(
     ``mapped_exponent`` declares the algebraic order of the transformed
     integrand at u = 0 (i.e. decay_exponent + 2) when it is singular there.
     """
-    if tol < 1e-13:
+    if not tol >= 1e-13:   # a nan tol fails too
         raise ValueError(f"tol must be >= 1e-13, got {tol}")
     f = spec.evaluator
 

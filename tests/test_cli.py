@@ -33,6 +33,21 @@ class TestEval:
         assert out[0].startswith("0.785398163397448")
         assert out[1].startswith("error estimate:")
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["--a", "2.5", "--b", "2", "--c", "1.5", "--x=-10"], "-0.00175306786877035"),
+            (["--a", "1.3", "--b", "2.6", "--c", "3.1", "--x", "5", "--side", "above"],
+             "-0.212329965705191 - 0.182794756764963i"),
+            (["--a", "1.3", "--b", "2.6", "--c", "3.1", "--x", "5", "--side", "below"],
+             "-0.212329965705191 + 0.182794756764963i"),
+        ],
+    )
+    def test_2f1_by_connection_formula(self, capsys, argv, want):
+        # c < a and b, or b >= 1 on the cut in both orders: no Euler integral applies
+        assert main(["eval", "2f1", *argv]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == want
+
     def test_fd_continuation(self, capsys):
         code = main([
             "eval", "fd", "--a", "1", "--bs", "0.5,0.5,0.5", "--c", "2",

@@ -80,6 +80,11 @@ class TestGamma:
         with pytest.raises(DomainError, match="floating-point range"):
             gamma(x)
 
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(1.0, math.inf), complex(math.nan, 1.0)])
+    def test_non_finite_argument_is_domain_error(self, z):
+        with pytest.raises(DomainError, match="finite"):
+            gamma(z)
+
     @settings(max_examples=200, derandomize=True, database=None)
     @given(
         st.floats(min_value=130.0, max_value=400.0),

@@ -26,6 +26,7 @@ from lauricella import (
     verify_all,
 )
 from lauricella import hyperfun
+from lauricella.core import DEFAULT_SIDE
 from lauricella.reductions import check_all_reductions
 
 import helpers_properties as props
@@ -603,7 +604,8 @@ def test_euler_evaluation_count_is_pinned(monkeypatch):
     verify_all()
     check_all_reductions()
     representation_formulas_check()
-    assert total == 9_597
+    # 2F1 values off the disk that the connection formulas take no longer integrate
+    assert total == 8_997
 
 
 # ---------------------------------------------------------------------------
@@ -702,3 +704,137 @@ class TestPfaffRouting:
         with mpmath.workdps(30):
             want = complex(mpmath.hyp2f1(mpmath.mpc(a), mpmath.mpc(b), c, mpmath.mpc(x)))
         assert abs(got - want) <= 1e-10 * max(abs(want), 1e-12), (case, got, want)
+
+
+# ---------------------------------------------------------------------------
+# off the disk: the 1/x and 1/(1-x) connection formulas
+
+
+@st.composite
+def _connection_cases(draw):
+    """(a, b, c, x, side) with w = 1/x or 1/(1-x) inside the series radius.
+
+    Half the parameters are complex.  A third of the draws put a - b within
+    1e-2 ... 1e-8 of an integer, where the two terms cancel, and a third put
+    c - a at a non-positive integer, exactly, where one term vanishes.
+    """
+
+    def param():
+        im = draw(st.floats(-2.0, 2.0)) if draw(st.booleans()) else 0.0
+        return complex(draw(st.floats(-5.0, 5.0)), im)
+
+    a, b, c = param(), param(), param()
+    kind = draw(st.sampled_from(("plain", "near-integer a-b", "integer c-a")))
+    if kind == "near-integer a-b":
+        offset = draw(st.sampled_from((1.0, -1.0))) * 10.0 ** -draw(st.floats(2.0, 8.0))
+        b = a + draw(st.integers(-3, 3)) + offset
+    elif kind == "integer c-a":
+        # eighths keep a = c + n exact, so c - a is exactly -n
+        c = complex(draw(st.integers(-40, 40)) / 8.0, c.imag)
+        a = c + draw(st.integers(0, 4))
+    r = draw(st.floats(0.05, 0.9))
+    if draw(st.booleans()):
+        w = complex(r)   # 1/x real in (0, 0.9]: x on the cut
+    else:
+        w = cmath.rect(r, draw(st.floats(-math.pi, math.pi)))
+    x = 1.0 / w if draw(st.booleans()) else 1.0 - 1.0 / w
+    return a, b, c, x, draw(st.sampled_from((BranchSide.BELOW, BranchSide.ABOVE)))
+
+
+class TestConnection:
+    def test_c_below_a_and_b_on_the_negative_axis(self):
+        # its image 10/11 is just outside the radius, and c < a rules out the integral
+        got = hyp2f1(2.5, 2, 1.5, -10)
+        assert abs(got - -0.00175306786877035) <= 1e-14 * 0.00175306786877035
+        assert got.imag == 0.0
+
+    @pytest.mark.parametrize("side, sign", [(BranchSide.ABOVE, -1.0), (BranchSide.BELOW, 1.0)])
+    def test_cut_with_b_at_least_one_in_both_orders(self, side, sign):
+        want = complex(-0.212329965705191, sign * 0.182794756764963)
+        assert abs(hyp2f1(1.3, 2.6, 3.1, 5.0, side) - want) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "a, b, c, x",
+        [(2.5, 2, 1.5, -10), (1.3, 2.6, 3.1, 5), (0.5, 0.75, 1.5, 2), (0.7, 0.4, 1.9, 0.5 + 3j)],
+    )
+    def test_off_disk_points_take_no_integral(self, monkeypatch, a, b, c, x):
+        def refuse(*args):
+            raise AssertionError("integrated a point the connection formulas cover")
+
+        monkeypatch.setattr(hyperfun, "_euler_fd", refuse)
+        hyp2f1(a, b, c, x)
+
+    def test_cancelling_large_parameters_fall_through(self):
+        # the series at w = 1/3 cancel; taken without the error bound this
+        # point came out 0.67 % off
+        args = (60.0 + 0j, 0.5 + 0j, 120.0 + 0j, 3.0 + 0j, DEFAULT_SIDE, hyperfun.DEFAULT_QUAD_TOL)
+        assert hyperfun._hyp2f1_connection(*args) is None
+
+    def test_gamma_reflection_overflow_falls_through(self):
+        # sin(pi z) overflows at Im z = -300 inside the log-Gamma reflection;
+        # the integral still has the value (mpmath.hyp2f1 at 40 digits)
+        want = 0.37171654993041386 - 0.039091538634050495j
+        assert abs(hyp2f1(0.5, 0.2 + 300j, 1.3 - 200j, 4 + 1j) - want) <= 1e-10 * abs(want)
+
+    def test_integer_a_minus_b_falls_through(self):
+        args = (2.0 + 0j, 2.0 + 0j, 5.0 + 0j, 10.0 + 0j, DEFAULT_SIDE, hyperfun.DEFAULT_QUAD_TOL)
+        assert hyperfun._hyp2f1_connection(*args) is None
+
+    @pytest.mark.parametrize(
+        "a, b, c, x",
+        [(-20, 5, 1.5, 0.85), (8.5, 7.75, -7.3, 0.6 + 0.6j), (10, 10, 1.5, -0.9), (0.7, 1.3, 2.1, 0.3)],
+    )
+    def test_series_bound_covers_its_error(self, a, b, c, x):
+        mpmath = pytest.importorskip("mpmath")
+        total, bound = hyperfun._gauss_sum(complex(a), complex(b), complex(c), complex(x))
+        with mpmath.workdps(30):
+            want = complex(mpmath.hyp2f1(a, b, c, mpmath.mpc(x)))
+        assert abs(total - want) <= bound
+
+    def test_series_runs_past_a_dip_of_its_terms(self):
+        # (c+k) crosses 0 near k = 45, long after the terms fell below 1e-16
+        # of the sum; two small terms there do not end it
+        mpmath = pytest.importorskip("mpmath")
+        a, b, c, w = -13.59, 23.35, -45.35, 0.345
+        total, bound = hyperfun._gauss_sum(complex(a), complex(b), complex(c), complex(w))
+        with mpmath.workdps(60):
+            want = complex(mpmath.hyp2f1(a, b, c, w))
+        assert abs(total - want) <= max(bound, 1e-14 * abs(want))
+
+    # 300 draws, about 2 s
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_connection_cases())
+    def test_against_mpmath(self, case):
+        mpmath = pytest.importorskip("mpmath")
+        a, b, c, x, side = case
+        try:
+            got = hyp2f1(a, b, c, x, side)
+        except (DomainError, GammaPoleError, QuadratureError):
+            return
+        with mpmath.workdps(40):
+            z = mpmath.mpc(x)
+            if x.real > 1.0 and abs(x.imag) <= 1e-13 * (1.0 + x.real):
+                # the library takes such an x as on the cut, with the side's limit
+                z = mpmath.mpc(x.real, mpmath.mpf("-1e-30") if side is BranchSide.BELOW else mpmath.mpf("1e-30"))
+            want = complex(mpmath.hyp2f1(mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(c), z))
+        assert abs(got - want) <= 1e-10 * max(abs(want), 1e-12), (case, got, want)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "args",
+        [(1, 1, math.nan, 0.5), (math.nan, 1, 2, 0.5), (1, 1, 2, math.inf), (1, complex(1, math.inf), 2, 3)],
+    )
+    def test_hyp2f1(self, args):
+        with pytest.raises(DomainError, match="finite"):
+            hyp2f1(*args)
+        with pytest.raises(DomainError, match="finite"):
+            hyp2f1_series(*args)
+
+    def test_appell_f1(self):
+        with pytest.raises(DomainError, match="finite"):
+            appell_f1(0.5, 0.2, math.nan, 1.5, 0.3, 0.4)
+
+    def test_hyper_spec(self):
+        with pytest.raises(DomainError, match="finite"):
+            lauricella_fd(HyperSpec(0.5, (0.2,) * 3, 1.5, (math.inf, 3, -3)))

@@ -38,6 +38,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             integrate(spec, 0.0, 1.0, 1e-14)
 
+    def test_nan_tol_rejected_before_any_level(self):
+        calls = []
+        spec = IntegrandSpec(evaluator=lambda x: calls.append(x) or 1.0)
+        with pytest.raises(ValueError, match="tol"):
+            integrate(spec, 0.0, 1.0, math.nan)
+        with pytest.raises(ValueError, match="tol"):
+            integrate_semi_infinite(spec, 0.0, math.nan)
+        assert calls == []
+
 
 class TestFiniteIntervals:
     def test_inverse_sqrt(self):
