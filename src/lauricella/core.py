@@ -71,6 +71,8 @@ _LANCZOS = (
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
+_LN2 = math.log(2.0)
 
 
 def _sin_pi(z: complex) -> complex:
@@ -79,6 +81,23 @@ def _sin_pi(z: complex) -> complex:
     n = round(z.real)
     value = cmath.sin(cmath.pi * (z - n))
     return -value if n % 2 else value
+
+
+def _log_sin_pi(z: complex) -> complex:
+    """A logarithm of sin(pi z), on no fixed branch: only its exp is meant.
+
+    Finite where sin(pi z) itself overflows, from |Im z| ~ 225 on.  There
+    sin(pi w) = (s i/2) exp(-s i pi w) (1 - exp(2 s i pi w)), s = sgn Im w,
+    and the last factor is 1 to within exp(-2 pi |Im w|) < 1e-600.
+    """
+    n = round(z.real)
+    w = z - n   # exact, as in _sin_pi; sin(pi z) = (-1)**n sin(pi w)
+    parity = 1j * math.pi if n % 2 else 0.0
+    try:
+        return cmath.log(cmath.sin(cmath.pi * w)) + parity
+    except OverflowError:
+        s = 1.0 if w.imag > 0.0 else -1.0
+        return -1j * math.pi * s * (w - 0.5) - _LN2 + parity
 
 
 def _check_finite(*values: complex) -> None:
@@ -118,7 +137,11 @@ def gamma(z: complex) -> complex:
     _check_pole(z)
     if z.real < 0.5:
         # gamma(z) gamma(1-z) = pi / sin(pi z)
-        return cmath.pi / (_sin_pi(z) * gamma(1.0 - z))
+        try:
+            return cmath.pi / (_sin_pi(z) * gamma(1.0 - z))
+        except OverflowError:
+            # sin(pi z) left the float range at large |Im z|, where Gamma is tiny
+            return cmath.exp(_log_gamma(z))
     zz = z - 1.0
     acc, t = _lanczos(zz)
     try:
@@ -149,7 +172,7 @@ def _log_gamma(z: complex) -> complex:
     z = complex(z)
     _check_pole(z)
     if z.real < 0.5:
-        return cmath.log(cmath.pi / _sin_pi(z)) - _log_gamma(1.0 - z)
+        return _LOG_PI - _log_sin_pi(z) - _log_gamma(1.0 - z)
     acc, t = _lanczos(z - 1.0)
     return _LOG_SQRT_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
 

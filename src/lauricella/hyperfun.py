@@ -65,7 +65,7 @@ from .core import (
     gamma,
     principal_pow,
 )
-from .quadrature import IntegrandSpec, QuadratureError, integrate
+from .quadrature import IntegrandSpec, integrate
 
 __all__ = [
     "HyperSpec",
@@ -411,14 +411,6 @@ def _euler_fd(
         prefactor = gamma(c) / (gamma(a) * gamma(c - a))
     except DomainError:
         # A Gamma left the float range; the quotient itself usually has not.
-        # Such quotients are large and their integrals small, where the
-        # quadrature's tolerance is absolute, so the integral must meet it
-        # relative to its own size before it is scaled up.
-        if result.error_estimate > quad_tol * abs(result.value):
-            raise QuadratureError(
-                f"integral {result.value:.3e} is known only to {result.error_estimate:.3e}, "
-                f"too coarse to scale by Gamma(c)/(Gamma(a) Gamma(c-a)); a = {a}, c = {c}"
-            ) from None
         try:
             prefactor = cmath.exp(_log_gamma(c) - _log_gamma(a) - _log_gamma(c - a))
         except OverflowError:
@@ -451,6 +443,10 @@ def hyp2f1(
        ``quad_tol`` (see `_hyp2f1_connection`);
     4. the integral representation, in whichever of the parameter orders
        (a,b) / (b,a) is admissible.
+
+    ``side`` picks the limit onto the cut [1, inf) for real x > 1.  An x with
+    Re x > 1 and 0 < |Im x| <= 1e-13 (1 + Re x) is taken as on the cut too,
+    with the limit from its own side, whatever ``side`` says.
     """
     a, b, c, x = complex(a), complex(b), complex(c), complex(x)
     _check_finite(a, b, c, x)
@@ -464,10 +460,13 @@ def hyp2f1(
         return principal_pow(1.0 - x, -a) * hyp2f1_series(a, c - b, c, y)
     if r_x <= _SERIES_RADIUS:
         return hyp2f1_series(a, b, c, x)
+    on_cut = _on_cut(x)
+    if on_cut and x.imag:
+        # x is taken as on the cut, and its own side of it gives the limit
+        side = BranchSide.ABOVE if x.imag > 0.0 else BranchSide.BELOW
     value = _hyp2f1_connection(a, b, c, x, side, quad_tol)
     if value is not None:
         return value
-    on_cut = _on_cut(x)
     for a_int, b_pow in ((a, b), (b, a)):
         if c.real > a_int.real > 0.0 and not (on_cut and b_pow.real >= 1.0):
             return _euler_fd(a_int, [b_pow], c, [x], side, quad_tol)
@@ -537,7 +536,7 @@ def _hyp2f1_connection(
             value += factor * total
             exponent_error = _CONNECTION_ROUNDING * (1.0 + sum(abs(part) for part in parts))
             error += abs(factor) * (bound + exponent_error * abs(total))
-    except (DomainError, GammaPoleError, OverflowError):  # OverflowError: sin(pi z) at large |Im z|
+    except (DomainError, GammaPoleError):
         return None
     if not (cmath.isfinite(value) and error <= quad_tol * abs(value)):
         return None
@@ -562,6 +561,9 @@ def appell_f1(
     The series runs at whichever of (x1, x2) and its Pfaff image
     (x1/(x1-1), x2/(x2-1)) has the smaller largest modulus, when that is at
     most 0.9.  Outside, the integral is tried as given, then after Pfaff.
+
+    An argument with Re x > 1 and |Im x| <= 1e-13 (1 + Re x) is taken as on
+    the cut [1, inf), and ``side`` gives its limit whatever the sign of Im x.
     """
     a, b1, b2, c = complex(a), complex(b1), complex(b2), complex(c)
     x1, x2 = complex(x1), complex(x2)
@@ -593,6 +595,10 @@ def lauricella_fd(
 
     For n >= 3 the one-dimensional integral representation is always used;
     a Pfaff transformation is attempted when Re c > Re a > 0 fails.
+
+    For n >= 2 an argument with Re x > 1 and |Im x| <= 1e-13 (1 + Re x) is
+    taken as on the cut [1, inf), and ``side`` gives its limit whatever the
+    sign of Im x; n = 1 follows `hyp2f1`, where a nonzero Im x picks the side.
     """
     if spec.order == 1:
         return hyp2f1(spec.a, spec.bs[0], spec.c, spec.xs[0], side, quad_tol)

@@ -2,8 +2,22 @@
 
 The rule transforms each panel to the double-exponential variable
 x = mid + half*tanh((pi/2) sinh t) and doubles the node density per level
-until two consecutive levels agree.  Interior algebraic singularities are
-panel boundaries, so every panel is singular at its endpoints at worst.
+until the error estimate meets the tolerance.  Interior algebraic
+singularities are panel boundaries, so every panel is singular at its
+endpoints at worst.
+
+Stopping: with I_L the value at level L and d_L = |I_L - I_{L-1}|, the rule
+converges quadratically, so I_L is off by about d_L**2 / d_{L-1} (Takahasi &
+Mori 1974; Bailey, Jeyabalan & Li 2005).  The estimate e_L is
+d_L * (d_L / d_{L-1}) when d_L < d_{L-1} and d_L otherwise, formed without
+d_L**2, which underflows for integrals below ~1e-154.  It is never below the
+rounding floor 8 eps * span * sum|level-0 terms|.  A panel stops at the first
+level L >= 3 with e_L <= tol * |I_L| and reports e_L.  `integrate` splits tol
+evenly over the panels and accepts when the summed estimates are within tol
+of |value|; when the panels cancel, so that |value| is below the sum of their
+sizes, it integrates them once more at a tolerance tightened by that ratio
+before it raises.  Every test is relative: an integral of 1e-120 is accepted
+on the same terms as one of 1.
 
 Endpoint accuracy: plain evaluators f(x) lose the distance to a nonzero
 endpoint to rounding once it falls below ~1e-16, which caps achievable
@@ -35,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -50,6 +65,9 @@ MAX_LEVEL = 12
 _REACH_MARGIN = 0.5        # least |t| past a side's reach that each level evaluates
 _SIGMA_FLOOR = 5e-300      # drop nodes once the near-endpoint distance underflows
 _SEMI_INF_U_FLOOR = 1e-40  # mapped semi-infinite integrands are cut below this
+# rounding of a weighted sample, relative to its size: the weight, the
+# distances raised to the integrand's powers and the product each add a few eps
+_ROUNDING = 8.0 * sys.float_info.epsilon
 
 
 class QuadratureError(RuntimeError):
@@ -223,8 +241,9 @@ def _integrate_panel(
     span = hi - lo
     evaluations = 0
     level_sum = 0.0 + 0.0j      # sum of w*g over all nodes seen so far
-    prev_value: Optional[complex] = None
-    value = 0.0 + 0.0j
+    prev_value = value = 0.0 + 0.0j
+    prev_diff = 0.0             # |I_{L-1} - I_{L-2}|; 0 until there is one
+    rounding = 0.0
     err = math.inf
     collided_lo = collided_hi = False
     reach_lo = reach_hi = math.inf   # level 0 evaluates every node
@@ -255,39 +274,34 @@ def _integrate_panel(
             if x is not None:
                 raise QuadratureError(f"non-finite integrand sample at x = {x}")
             raise QuadratureError(f"integral over [{lo}, {hi}] exceeds the floating-point range")
+        value = span * h * level_sum
         if level == 0:
             # level 0 saw every node; each side reaches as far as a term meets its own floor
             floor = 1e-3 * tol * abs(level_sum)
             reach_lo = max((t for t, term in first_lo if abs(term) >= floor), default=0.0)
             reach_hi = max((t for t, term in first_hi if abs(term) >= floor), default=0.0)
-        value = span * h * level_sum
-        if prev_value is not None:
-            err = abs(value - prev_value)
-            if err <= tol * max(1.0, abs(value)) and level >= 2:
+            rounding = _ROUNDING * span * sum(abs(term) for _, term in first_lo + first_hi)
+        else:
+            diff = abs(value - prev_value)
+            # quadratic convergence: I_L is off by about d_L**2/d_{L-1}, formed
+            # as a product of ratios because d_L**2 underflows for tiny integrals
+            err = max(diff * (diff / prev_diff) if diff < prev_diff else diff, rounding)
+            if level >= 3 and err <= tol * abs(value):
                 return value, err, evaluations, collided_lo, collided_hi
+            prev_diff = diff
         prev_value = value
     return value, err, evaluations, collided_lo, collided_hi
 
 
-def integrate(
-    spec: IntegrandSpec,
-    lo: float,
-    hi: float,
-    tol: float = 1e-11,
-) -> QuadratureResult:
-    """Integrate over [lo, hi], splitting at declared interior singularities."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if not tol >= 1e-13:   # a nan tol fails too
-        raise ValueError(f"tol must be >= 1e-13, got {tol}")
-    splits = [p for p in spec.interior_singularities if lo < p < hi]
-    points = [lo] + splits + [hi]
+def _integrate_panels(
+    spec: IntegrandSpec, points: Sequence[float], panel_tol: float
+) -> tuple[complex, float, float, float, int]:
+    """(sum, summed error estimate, skipped-tail share of it, sum of |panel|, evaluations)."""
     g, collision_ok = spec._distance_form()
     total = 0.0 + 0.0j
-    total_err = 0.0
+    total_err = size = skipped_tail = 0.0
     evaluations = 0
-    panel_tol = tol / max(1, len(points) - 1)
-    skipped_tail = 0.0
+    last = len(points) - 2
     for i, (a, b) in enumerate(zip(points[:-1], points[1:])):
         try:
             value, err, n, hit_lo, hit_hi = _integrate_panel(g, a, b, panel_tol, collision_ok)
@@ -296,22 +310,47 @@ def integrate(
             raise QuadratureError(f"integrand on [{a}, {b}] exceeds the floating-point range") from None
         total += value
         total_err += err
+        size += abs(value)
         evaluations += n
         # A plain evaluator cannot see inside the band where the coordinate
         # rounds onto a singular endpoint; charge the un-sampled tail mass
         # (width**(1+beta)) to the error estimate instead of hiding it.
         for hit, coord, beta in (
             (hit_lo, a, spec.endpoint_exponents[0] if i == 0 else -0.5),
-            (hit_hi, b, spec.endpoint_exponents[1] if i == len(points) - 2 else -0.5),
+            (hit_hi, b, spec.endpoint_exponents[1] if i == last else -0.5),
         ):
             if hit and beta < 0.0:
                 width = 1.2e-16 * max(1.0, abs(coord))
-                skipped_tail += width ** (1.0 + beta) / (1.0 + beta) * max(1.0, abs(value))
-    total_err += skipped_tail
-    if not total_err <= tol * max(1.0, abs(total)):   # a nan estimate fails too
+                skipped_tail += width ** (1.0 + beta) / (1.0 + beta) * abs(value)
+    return total, total_err + skipped_tail, skipped_tail, size, evaluations
+
+
+def integrate(
+    spec: IntegrandSpec,
+    lo: float,
+    hi: float,
+    tol: float = 1e-11,
+) -> QuadratureResult:
+    """Integrate over [lo, hi], splitting at declared interior singularities.
+
+    The returned value meets error_estimate <= tol * |value|.  When the
+    panels cancel, so that |value| is below the sum of their sizes, they are
+    integrated once more at a tolerance tightened by that ratio.
+    """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not tol >= 1e-13:   # a nan tol fails too
+        raise ValueError(f"tol must be >= 1e-13, got {tol}")
+    points = [lo, *(p for p in spec.interior_singularities if lo < p < hi), hi]
+    panel_tol = tol / (len(points) - 1)
+    total, total_err, skipped_tail, size, evaluations = _integrate_panels(spec, points, panel_tol)
+    if not total_err <= tol * abs(total) and abs(total) < size:
+        total, total_err, skipped_tail, _, n = _integrate_panels(spec, points, panel_tol * abs(total) / size)
+        evaluations += n
+    if not total_err <= tol * abs(total):   # a nan estimate fails too
         detail = "; singular-endpoint integrands need a distance_evaluator" if skipped_tail else ""
         raise QuadratureError(
-            f"quadrature did not converge: error estimate {total_err:.3e} > tol {tol:.3e}{detail}"
+            f"quadrature did not converge: error estimate {total_err:.3e} > tol {tol:.3e} * |value| {abs(total):.3e}{detail}"
         )
     return QuadratureResult(total, total_err, evaluations)
 

@@ -97,6 +97,17 @@ class TestGamma:
             return
         assert math.isfinite(value.real) and math.isfinite(value.imag)
 
+    @pytest.mark.parametrize("z", [-0.5 + 300j, 0.3 + 400j, 0.3 - 400j, -7.2 - 250j])
+    def test_reflection_past_sin_overflow(self, z):
+        # sin(pi z) leaves the float range from |Im z| ~ 225 on; Gamma is ~1e-273 here
+        from lauricella.core import _log_gamma
+
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = complex(mpmath.gamma(mpmath.mpc(z)))
+        assert abs(gamma(z) - want) <= 1e-12 * abs(want)
+        assert abs(cmath.exp(_log_gamma(z)) - want) <= 1e-12 * abs(want)
+
 
 class TestLogGamma:
     def test_against_mpmath_past_float_range(self):

@@ -113,8 +113,8 @@ class TestGaussContinuation:
             hyp2f1(600.0, 0.5, 1200.0, 2.0)
 
     def test_large_parameters_value_or_library_error(self):
-        # past Gamma's range the integral is often tiny, and the quadrature's
-        # absolute tolerance must not pass a coarse one on to the scaled value
+        # past Gamma's range the integral is often tiny, and a coarse one must
+        # not be passed on to the scaled value
         import random
 
         from lauricella import GammaPoleError, QuadratureError
@@ -134,8 +134,25 @@ class TestGaussContinuation:
             z = mpmath.mpc(x.real, "-1e-25") if x.imag == 0 else mpmath.mpc(x)
             want = complex(mpmath.hyp2f1(a, b, c, z))
             assert abs(got - want) <= 1e-9 * abs(want), (a, b, c, x)
-        with pytest.raises(QuadratureError):
-            hyp2f1(200.0, 0.5, 400.0, 2.0)  # integral ~3.7e-121, estimate ~3.3e-123
+        # the integral is about 3.7e-121; the quadrature's tolerance is relative to it
+        want = complex(mpmath.hyp2f1(200, 0.5, 400, mpmath.mpc(2, "-1e-25")))
+        assert abs(hyp2f1(200.0, 0.5, 400.0, 2.0) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("a, b, c, x", [(100, 0.25, 171, 1.5), (60, 0.5, 120, 3), (85, 0.5, 170, 3)])
+    def test_large_parameters_on_the_euler_path(self, a, b, c, x):
+        # integrals of 1e-36 ... 1e-52 once came back 1-7 % off under an
+        # acceptance test that was absolute below 1
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = complex(mpmath.hyp2f1(a, b, c, mpmath.mpc(x, "-1e-25")))
+        assert abs(hyp2f1(a, b, c, x) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("side", list(BranchSide))
+    @pytest.mark.parametrize("im", [-1e-20, 1e-20])
+    def test_nonzero_imaginary_part_on_the_cut_band_picks_the_side(self, side, im):
+        # 2 + im i lies within the band taken as on the cut; its sign decides
+        want = EQ2 if im < 0 else EQ2.conjugate()
+        assert hyp2f1(0.5, 0.75, 1.5, complex(2.0, im), side) == pytest.approx(want, rel=1e-12)
 
     def test_euler_prefactor_in_range_unchanged(self):
         # values whose Gammas are all finite keep the direct quotient, bit for bit
@@ -604,8 +621,8 @@ def test_euler_evaluation_count_is_pinned(monkeypatch):
     verify_all()
     check_all_reductions()
     representation_formulas_check()
-    # 2F1 values off the disk that the connection formulas take no longer integrate
-    assert total == 8_997
+    # each panel stops one level sooner, on the quadratic-convergence estimate
+    assert total == 6_043
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +788,9 @@ class TestConnection:
         assert hyperfun._hyp2f1_connection(*args) is None
 
     def test_gamma_reflection_overflow_falls_through(self):
-        # sin(pi z) overflows at Im z = -300 inside the log-Gamma reflection;
-        # the integral still has the value (mpmath.hyp2f1 at 40 digits)
+        # sin(pi z) overflows at Im z = -300 inside the log-Gamma reflection,
+        # which then works in log space; the formula's bound still refuses the
+        # point, and the integral has the value (mpmath.hyp2f1 at 40 digits)
         want = 0.37171654993041386 - 0.039091538634050495j
         assert abs(hyp2f1(0.5, 0.2 + 300j, 1.3 - 200j, 4 + 1j) - want) <= 1e-10 * abs(want)
 
@@ -813,8 +831,8 @@ class TestConnection:
             return
         with mpmath.workdps(40):
             z = mpmath.mpc(x)
-            if x.real > 1.0 and abs(x.imag) <= 1e-13 * (1.0 + x.real):
-                # the library takes such an x as on the cut, with the side's limit
+            if x.imag == 0.0 and x.real > 1.0:
+                # on the cut, the side's limit; an x just off it is its own side
                 z = mpmath.mpc(x.real, mpmath.mpf("-1e-30") if side is BranchSide.BELOW else mpmath.mpf("1e-30"))
             want = complex(mpmath.hyp2f1(mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(c), z))
         assert abs(got - want) <= 1e-10 * max(abs(want), 1e-12), (case, got, want)

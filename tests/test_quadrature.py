@@ -131,7 +131,8 @@ class TestTruncation:
 
     def test_asymmetric_integrand_count_is_pinned(self):
         # u**-0.5 (1-u)**4 decays slowly towards 0 and fast towards 1; a run of
-        # 12 small terms counted across both sides took 163 evaluations
+        # 12 small terms counted across both sides took 163 evaluations, and
+        # stopping only once two levels agreed took 109
         spec = IntegrandSpec(
             evaluator=lambda u: u ** -0.5 * (1.0 - u) ** 4,
             endpoint_exponents=(-0.5, 0.0),
@@ -139,11 +140,11 @@ class TestTruncation:
         )
         result = integrate(spec, 0.0, 1.0, 1e-11)
         assert result.value == pytest.approx(256.0 / 315.0, rel=1e-13)
-        assert result.evaluations == 109
+        assert result.evaluations == 59
 
     def test_tail_floor_scales_with_the_integral(self):
-        # an integral of 1e-30 meets the absolute acceptance at level 2, but its
-        # terms are weighed against its own size, so no node that matters is cut
+        # the terms of an integral of 1e-30 are weighed against its own size,
+        # so no node that matters is cut
         c = 1e-30
         value = integrate(IntegrandSpec(evaluator=lambda x: c * math.exp(x)), 0.0, 1.0, 1e-11).value
         assert abs(value / c - (math.e - 1.0)) <= 1e-9
@@ -167,6 +168,76 @@ class TestTruncation:
 
         with pytest.raises(QuadratureError, match="exceeds the floating-point range"):
             integrate(IntegrandSpec(evaluator=overflow), 0.0, 1.0, 1e-11)
+
+
+class TestStoppingRule:
+    """A panel stops once d_L (d_L / d_{L-1}), d_L = |I_L - I_{L-1}|, is within tol of |I_L|."""
+
+    def test_tiny_sharply_peaked_integral(self):
+        # 1e-160 u**50 (1-u)**50 / B(51, 51): the level differences are about
+        # 1e-170 and their squares underflow; formed as d*d/prev the estimate
+        # came out 0 and the value 4e-9 off
+        p, scale = 50, 1e-160
+        log_beta = 2.0 * math.lgamma(p + 1.0) - math.lgamma(2.0 * p + 2.0)
+
+        def g(_u, d_lo, d_hi):
+            return scale * math.exp(p * (math.log(d_lo) + math.log(d_hi)) - log_beta)
+
+        spec = IntegrandSpec(evaluator=lambda u: g(u, u, 1.0 - u), endpoint_exponents=(p, p), distance_evaluator=g)
+        result = integrate(spec, 0.0, 1.0, 1e-11)
+        assert abs(result.value - scale) <= 1e-12 * scale
+        assert 0.0 < result.error_estimate <= 1e-11 * scale
+
+    @staticmethod
+    def _opposed_peaks(delta):
+        # -1/((u - 1/4)**2 + w**2) on [0, 1/2] and (1 + delta)/((u - 3/4)**2 + w**2)
+        # on [1/2, 1]: the panels are -P and (1 + delta) P, with P = (2/w) atan(1/(4w))
+        w = 0.2
+
+        def g(u, d_lo, d_hi):
+            if u + 0.5 * (d_hi - d_lo) < 0.5:   # the panel's midpoint
+                return -1.0 / ((u - 0.25) ** 2 + w * w)
+            return (1.0 + delta) / ((u - 0.75) ** 2 + w * w)
+
+        spec = IntegrandSpec(evaluator=lambda u: g(u, u, 0.5 - u), interior_singularities=(0.5,), distance_evaluator=g)
+        return spec, delta * 2.0 / w * math.atan(0.25 / w)
+
+    def test_cancelling_panels_are_integrated_again(self):
+        tol = 1e-11
+        spec, want = self._opposed_peaks(1e-3)
+        result = integrate(spec, 0.0, 1.0, tol)
+        assert abs(result.value - want) <= result.error_estimate <= tol * abs(result.value)
+        # each panel alone, at the first pass's tolerance, took fewer evaluations
+        first_pass = sum(integrate(spec, lo, hi, tol / 2).evaluations for lo, hi in ((0.0, 0.5), (0.5, 1.0)))
+        assert result.evaluations > first_pass
+
+    def test_cancellation_below_rounding_raises(self):
+        spec, _ = self._opposed_peaks(1e-6)
+        with pytest.raises(QuadratureError, match="did not converge"):
+            integrate(spec, 0.0, 1.0, 1e-11)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        st.floats(-0.95, 4.0, exclude_min=True),
+        st.floats(-0.95, 4.0, exclude_min=True),
+        st.floats(-200.0, 200.0),
+    )
+    def test_error_estimate_bounds_scaled_beta_integrals(self, alpha, beta, log_scale):
+        mpmath = pytest.importorskip("mpmath")
+        s = 10.0 ** log_scale
+        spec = IntegrandSpec(
+            evaluator=lambda u: s * u ** alpha * (1.0 - u) ** beta,
+            endpoint_exponents=(alpha, beta),
+            distance_evaluator=lambda _u, d_lo, d_hi: s * d_lo ** alpha * d_hi ** beta,
+        )
+        try:
+            result = integrate(spec, 0.0, 1.0, 1e-11)
+        except QuadratureError:
+            return   # a sample of s * d**alpha left the float range
+        with mpmath.workdps(30):
+            want = mpmath.mpf(s) * mpmath.beta(mpmath.mpf(alpha) + 1, mpmath.mpf(beta) + 1)
+            error = abs(mpmath.mpc(result.value) - want)
+        assert error <= result.error_estimate <= 1e-11 * abs(result.value)
 
 
 class TestSemiInfinite:

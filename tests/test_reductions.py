@@ -83,8 +83,8 @@ class TestChecks:
             check_reduction("no-such-reduction")
 
     def test_quad_tol_takes_effect(self):
-        default = check_reduction("goursat-gb0")
-        loose = check_reduction("goursat-gb0", quad_tol=1e-6)
+        default = check_reduction("legendre-z1[n=4,a=1]")
+        loose = check_reduction("legendre-z1[n=4,a=1]", quad_tol=1e-6)
         assert loose.status == "pass"
         assert (loose.lhs_value, loose.rhs_value) != (default.lhs_value, default.rhs_value)
 
