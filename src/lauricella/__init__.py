@@ -5,10 +5,14 @@ analytic continuations), complete and incomplete elliptic integrals and the
 Gamma function, and uses them to machine-check a catalog of closed-form
 identities and hyperelliptic-integral reductions.
 
-``import lauricella`` loads only the evaluation stack (core, quadrature,
-hyperfun, elliptic).  The catalog modules (identities, reductions, catalog)
-load on first use of one of their names, so a single evaluation does not pay
-for importing them.
+``import lauricella`` loads only core (Gamma, powers, the library's
+exceptions) and hyperfun (the series, connection formulas and Euler
+integrands).  Everything else loads on first use of one of its names:
+quadrature, and with it ``dataclasses``, on the first evaluation that
+integrates or the first use of a quadrature name; elliptic on the first use
+of one of its functions; the catalog modules (identities, reductions,
+catalog) when a check runs.  So a single evaluation on the series or
+connection-formula paths imports only what it runs.
 """
 
 from .core import (
@@ -16,13 +20,13 @@ from .core import (
     DEFAULT_SIDE,
     DomainError,
     GammaPoleError,
+    QuadratureError,
     gamma,
     pochhammer,
     principal_pow,
     roots_of_unity,
     unit_partition_roots,
 )
-from .elliptic import complete_e, complete_k, incomplete_f
 from .hyperfun import (
     HyperSpec,
     appell_f1,
@@ -34,18 +38,18 @@ from .hyperfun import (
     lauricella_fd,
     pfaff_f1,
 )
-from .quadrature import (
-    IntegrandSpec,
-    QuadratureError,
-    QuadratureResult,
-    integrate,
-    integrate_semi_infinite,
-)
 
 __version__ = "0.1.0"
 
-# public names of the catalog modules, resolved on first access
+# public names of the modules loaded on first use, resolved on first access
 _LAZY = {
+    "IntegrandSpec": "quadrature",
+    "QuadratureResult": "quadrature",
+    "integrate": "quadrature",
+    "integrate_semi_infinite": "quadrature",
+    "complete_e": "elliptic",
+    "complete_k": "elliptic",
+    "incomplete_f": "elliptic",
     "EvalReport": "identities",
     "IdentityRecord": "identities",
     "registry": "identities",

@@ -12,9 +12,8 @@ import os
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from .core import BranchSide, DomainError, GammaPoleError
+from .core import BranchSide, DomainError, GammaPoleError, QuadratureError
 from .hyperfun import DEFAULT_QUAD_TOL, HyperSpec, appell_f1, hyp2f1, lauricella_fd
-from .quadrature import QuadratureError
 
 if TYPE_CHECKING:
     from .identities import EvalReport

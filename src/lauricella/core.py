@@ -15,6 +15,7 @@ __all__ = [
     "DEFAULT_SIDE",
     "DomainError",
     "GammaPoleError",
+    "QuadratureError",
     "gamma",
     "pochhammer",
     "principal_pow",
@@ -46,6 +47,10 @@ class GammaPoleError(ValueError):
 
 class DomainError(ValueError):
     """Argument outside the operation's domain."""
+
+
+class QuadratureError(RuntimeError):
+    """Non-convergence or a non-finite sample at a regular point."""
 
 
 # Rational-series coefficients (g = 607/128, 15 terms), good to ~1e-15

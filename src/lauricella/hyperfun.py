@@ -52,8 +52,7 @@ import cmath
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     BranchSide,
@@ -65,7 +64,9 @@ from .core import (
     gamma,
     principal_pow,
 )
-from .quadrature import IntegrandSpec, integrate
+
+if TYPE_CHECKING:
+    from .quadrature import IntegrandSpec, QuadratureResult
 
 __all__ = [
     "HyperSpec",
@@ -90,26 +91,54 @@ _CONNECTION_ROUNDING = 8.0 * _EPS
 _LOG_RANGE = 700.0  # |log| of a connection factor that keeps it a normal float
 
 
-@dataclass(frozen=True)
 class HyperSpec:
-    """Parameter bundle (a; b_1..b_n; c | x_1..x_n) for an FD evaluation."""
+    """Parameter bundle (a; b_1..b_n; c | x_1..x_n) for an FD evaluation.
 
+    Immutable, and compared and hashed by its fields, like a frozen
+    dataclass.  It is a plain class so that importing this module does not
+    load ``dataclasses``, which costs a one-shot ``lauricella eval`` about a
+    tenth of its run.
+    """
+
+    __slots__ = ("a", "bs", "c", "xs")
     a: complex
     bs: tuple[complex, ...]
     c: complex
     xs: tuple[complex, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "bs", tuple(complex(b) for b in self.bs))
-        object.__setattr__(self, "c", complex(self.c))
-        object.__setattr__(self, "xs", tuple(complex(x) for x in self.xs))
-        _check_finite(self.a, *self.bs, self.c, *self.xs)
-        if len(self.bs) != len(self.xs):
+    def __init__(self, a: complex, bs: Sequence[complex], c: complex, xs: Sequence[complex]) -> None:
+        a, bs, c, xs = complex(a), tuple(complex(b) for b in bs), complex(c), tuple(complex(x) for x in xs)
+        _check_finite(a, *bs, c, *xs)
+        if len(bs) != len(xs):
             raise DomainError("bs and xs must have equal length")
-        if not self.bs:
+        if not bs:
             raise DomainError("need at least one (b, x) pair")
-        _check_c(self.c)
+        _check_c(c)
+        for name, value in zip(self.__slots__, (a, bs, c, xs)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> tuple:
+        return self.a, self.bs, self.c, self.xs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return f"HyperSpec(a={self.a!r}, bs={self.bs!r}, c={self.c!r}, xs={self.xs!r})"
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
 
     @property
     def order(self) -> int:
@@ -265,6 +294,8 @@ def _euler_integrand(
     closure or dispatches on the node's panel midpoint: u itself may have
     rounded onto a shared boundary, the midpoint never does.
     """
+    from .quadrature import IntegrandSpec
+
     am1 = _real_if_real(a - 1.0)
     cam1 = _real_if_real(c - a - 1.0)
     arg = math.pi if side is BranchSide.BELOW else -math.pi  # arg of 1-xu past the split
@@ -386,6 +417,17 @@ def _complex_panel(e_lo, k_lo, e_hi, k_hi, lines, pairs, rest, phase_log):
         return cexp(t)
 
     return g
+
+
+def integrate(spec: IntegrandSpec, lo: float, hi: float, tol: float) -> QuadratureResult:
+    """`quadrature.integrate`, which loads with its module on the first call.
+
+    `_euler_fd` calls through this module global, so that a wrapper set on
+    ``hyperfun.integrate`` sees every Euler integral.
+    """
+    from .quadrature import integrate as quadrature_integrate
+
+    return quadrature_integrate(spec, lo, hi, tol)
 
 
 def _euler_fd(

@@ -20,11 +20,15 @@ before it raises.  Every test is relative: an integral of 1e-120 is accepted
 on the same terms as one of 1.
 
 Endpoint accuracy: plain evaluators f(x) lose the distance to a nonzero
-endpoint to rounding once it falls below ~1e-16, which caps achievable
-accuracy near 1e-8 for (b-x)**beta behaviour.  Integrands that need the
-full 1e-11 therefore receive the node's distance to both panel endpoints,
-computed in the t-domain to full relative precision, via
-``IntegrandSpec.distance_evaluator``.
+endpoint to rounding once it falls below ~1e-16, so the nodes nearer than
+that are skipped.  The band between the end and the nearest sample taken, at
+distance d, is charged to the error estimate as d |f(d)| / (1 + beta), the
+integral of |f(d)| (s/d)**beta over it, with beta the declared exponent at
+lo and hi and -1/2 at an interior singularity.  A smooth integrand pays about
+1e-15 of itself there, while (b-x)**beta behaviour caps the achievable
+accuracy near 1e-8.  Integrands that need the full 1e-11 at such an end
+receive the node's distance to both panel endpoints, computed in the
+t-domain to full relative precision, via ``IntegrandSpec.distance_evaluator``.
 
 Truncation: each side of a panel (the nodes towards lo and those towards hi)
 keeps a reach, the furthest |t| at which a term met the tail floor.  The
@@ -53,6 +57,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from .core import QuadratureError
+
 __all__ = [
     "IntegrandSpec",
     "QuadratureError",
@@ -68,10 +74,6 @@ _SEMI_INF_U_FLOOR = 1e-40  # mapped semi-infinite integrands are cut below this
 # rounding of a weighted sample, relative to its size: the weight, the
 # distances raised to the integrand's powers and the product each add a few eps
 _ROUNDING = 8.0 * sys.float_info.epsilon
-
-
-class QuadratureError(RuntimeError):
-    """Non-convergence or a non-finite sample at a regular point."""
 
 
 @dataclass(frozen=True)
@@ -178,28 +180,36 @@ def _sweep(
     floor: float,
     collision_ok: bool,
     terms: Optional[list[tuple[float, complex]]] = None,
-) -> tuple[complex, float, int, bool]:
+) -> tuple[complex, float, int, Optional[tuple[float, float]]]:
     """Add weight*g over one side's nodes, out to |t| = reach + margin, to `total`.
 
     A term at or above `floor` past the reach moves the reach out to its |t|.
-    Returns (total, reach, evaluations, whether a node collided with an end).
-    The evaluated nodes are exactly those with |t| <= reach + margin, less
-    the collided ones, for the returned reach.  `terms`, when given, collects
+    Returns (total, reach, evaluations, nearest).  The evaluated nodes are
+    exactly those with |t| <= reach + margin, up to the first that collides
+    with its end, for the returned reach.  `nearest` is None when no node
+    collided, else (d, d |g|) at the last node evaluated, at distance d from
+    the end, or (inf, inf) when there is none.  `terms`, when given, collects
     (|t|, term) for every evaluated node.
     """
     span = hi - lo
     evaluations = 0
-    collided = False
+    nearest = None
     limit = reach + margin
     for t, offset, sigma_lo, sigma_hi, weight in nodes:
         if t > limit:
             break
         x = end + span * offset
         if not collision_ok and not lo < x < hi:
-            # the coordinate rounded onto an end, where a plain evaluator
-            # cannot be trusted; a distance evaluator still gets exact distances
-            collided = True
-            continue
+            # The coordinate rounded onto the end, where a plain evaluator
+            # cannot be trusted (a distance evaluator still gets exact
+            # distances), and every later node rounds onto it too.  The nodes
+            # before this one were all evaluated; `term` is the last one's.
+            nearest = (math.inf, math.inf)
+            if evaluations:
+                _t, offset, _sigma_lo, _sigma_hi, weight = nodes[evaluations - 1]
+                d = span * abs(offset)
+                nearest = (d, d * abs(term) / weight)
+            break
         term = weight * g(x, span * sigma_lo, span * sigma_hi)
         evaluations += 1
         total += term
@@ -208,7 +218,7 @@ def _sweep(
         if t > reach and abs(term) >= floor:
             reach = t
             limit = t + margin
-    return total, reach, evaluations, collided
+    return total, reach, evaluations, nearest
 
 
 def _first_nonfinite(
@@ -237,7 +247,12 @@ def _integrate_panel(
     hi: float,
     tol: float,
     collision_ok: bool,
-) -> tuple[complex, float, int, bool, bool]:
+) -> tuple[complex, float, int, float, float]:
+    """(value, error estimate, evaluations, band at lo, band at hi).
+
+    A band is d |g(d)| at the sample nearest its end, at distance d, over
+    every level, when nodes nearer than that collided with the end; else 0.
+    """
     span = hi - lo
     evaluations = 0
     level_sum = 0.0 + 0.0j      # sum of w*g over all nodes seen so far
@@ -245,7 +260,7 @@ def _integrate_panel(
     prev_diff = 0.0             # |I_{L-1} - I_{L-2}|; 0 until there is one
     rounding = 0.0
     err = math.inf
-    collided_lo = collided_hi = False
+    nearest_lo = nearest_hi = None   # (d, d |g(d)|) as `_sweep` reports them
     reach_lo = reach_hi = math.inf   # level 0 evaluates every node
     first_lo: list[tuple[float, complex]] = []   # level 0's (|t|, term) per side
     first_hi: list[tuple[float, complex]] = []
@@ -264,8 +279,10 @@ def _integrate_panel(
             first_hi if level == 0 else None,
         )
         evaluations += n_lo + n_hi
-        collided_lo = collided_lo or hit_lo
-        collided_hi = collided_hi or hit_hi
+        if hit_lo and (nearest_lo is None or hit_lo < nearest_lo):
+            nearest_lo = hit_lo
+        if hit_hi and (nearest_hi is None or hit_hi < nearest_hi):
+            nearest_hi = hit_hi
         if not cmath.isfinite(level_sum):
             # a finite sum proves every sample in it finite; only now look
             x = _first_nonfinite(
@@ -287,10 +304,12 @@ def _integrate_panel(
             # as a product of ratios because d_L**2 underflows for tiny integrals
             err = max(diff * (diff / prev_diff) if diff < prev_diff else diff, rounding)
             if level >= 3 and err <= tol * abs(value):
-                return value, err, evaluations, collided_lo, collided_hi
+                break
             prev_diff = diff
         prev_value = value
-    return value, err, evaluations, collided_lo, collided_hi
+    band_lo = nearest_lo[1] if nearest_lo else 0.0
+    band_hi = nearest_hi[1] if nearest_hi else 0.0
+    return value, err, evaluations, band_lo, band_hi
 
 
 def _integrate_panels(
@@ -304,7 +323,7 @@ def _integrate_panels(
     last = len(points) - 2
     for i, (a, b) in enumerate(zip(points[:-1], points[1:])):
         try:
-            value, err, n, hit_lo, hit_hi = _integrate_panel(g, a, b, panel_tol, collision_ok)
+            value, err, n, band_lo, band_hi = _integrate_panel(g, a, b, panel_tol, collision_ok)
         except OverflowError:
             # raised by the integrand itself, or by abs() of a huge finite sum
             raise QuadratureError(f"integrand on [{a}, {b}] exceeds the floating-point range") from None
@@ -313,15 +332,10 @@ def _integrate_panels(
         size += abs(value)
         evaluations += n
         # A plain evaluator cannot see inside the band where the coordinate
-        # rounds onto a singular endpoint; charge the un-sampled tail mass
-        # (width**(1+beta)) to the error estimate instead of hiding it.
-        for hit, coord, beta in (
-            (hit_lo, a, spec.endpoint_exponents[0] if i == 0 else -0.5),
-            (hit_hi, b, spec.endpoint_exponents[1] if i == last else -0.5),
-        ):
-            if hit and beta < 0.0:
-                width = 1.2e-16 * max(1.0, abs(coord))
-                skipped_tail += width ** (1.0 + beta) / (1.0 + beta) * abs(value)
+        # rounds onto an endpoint; charge the band's mass, from the nearest
+        # sample and the end's exponent, to the error estimate instead of hiding it.
+        skipped_tail += band_lo / (1.0 + (spec.endpoint_exponents[0] if i == 0 else -0.5))
+        skipped_tail += band_hi / (1.0 + (spec.endpoint_exponents[1] if i == last else -0.5))
     return total, total_err + skipped_tail, skipped_tail, size, evaluations
 
 
@@ -348,7 +362,8 @@ def integrate(
         total, total_err, skipped_tail, _, n = _integrate_panels(spec, points, panel_tol * abs(total) / size)
         evaluations += n
     if not total_err <= tol * abs(total):   # a nan estimate fails too
-        detail = "; singular-endpoint integrands need a distance_evaluator" if skipped_tail else ""
+        # name the remedy when the skipped bands alone break the tolerance
+        detail = "; singular-endpoint integrands need a distance_evaluator" if skipped_tail > tol * abs(total) else ""
         raise QuadratureError(
             f"quadrature did not converge: error estimate {total_err:.3e} > tol {tol:.3e} * |value| {abs(total):.3e}{detail}"
         )

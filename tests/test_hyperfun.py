@@ -1,5 +1,8 @@
 import cmath
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -314,6 +317,51 @@ class TestLauricella:
         assert props.run_collapse() >= 50
 
 
+class TestHyperSpec:
+    """A frozen value: coerced and checked on construction, compared by its fields."""
+
+    def test_fields_are_read_only(self):
+        spec = HyperSpec(0.5, (0.2,), 1.5, (0.3,))
+        with pytest.raises(AttributeError):
+            spec.a = 1.0
+        with pytest.raises(AttributeError):
+            spec.extra = 1.0
+        with pytest.raises(AttributeError):
+            del spec.xs
+        assert spec.a == 0.5
+
+    def test_equality_and_hash_follow_the_fields(self):
+        spec = HyperSpec(0.5, [0.2, 0.3], 1.5, (0.1, -0.2))
+        same = HyperSpec(0.5 + 0j, (0.2, 0.3), 1.5, [0.1, -0.2 + 0j])
+        assert spec == same and hash(spec) == hash(same)
+        assert len({spec, same}) == 1
+        assert spec != HyperSpec(0.5, (0.2, 0.3), 1.5, (0.1, -0.3))
+        assert spec != (spec.a, spec.bs, spec.c, spec.xs)
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert copy.deepcopy(spec) == spec
+
+    def test_repr_lists_the_fields(self):
+        spec = HyperSpec(0.5, (0.2,), 1.5, (0.3,))
+        assert repr(spec) == "HyperSpec(a=(0.5+0j), bs=((0.2+0j),), c=(1.5+0j), xs=((0.3+0j),))"
+
+    def test_parameters_are_coerced_to_complex(self):
+        spec = HyperSpec(1, [2, 3.5], 4, iter([0.5, 1j]))
+        assert [type(v) for v in (spec.a, *spec.bs, spec.c, *spec.xs)] == [complex] * 6
+        assert (spec.a, spec.bs, spec.c, spec.xs) == (1, (2, 3.5), 4, (0.5, 1j))
+        assert type(spec.bs) is tuple and type(spec.xs) is tuple
+        assert spec.order == 2
+
+    @pytest.mark.parametrize("a, bs, c, xs", [
+        (0.5, (0.2, 0.3), 1.5, (0.1,)),          # unequal lengths
+        (0.5, (), 1.5, ()),                      # no (b, x) pair
+        (0.5, (0.2,), -2.0, (0.1,)),             # c at a pole
+        (0.5, (0.2,), 1.5, (math.nan,)),         # non-finite
+    ])
+    def test_invalid_parameters_raise(self, a, bs, c, xs):
+        with pytest.raises(DomainError):
+            HyperSpec(a, bs, c, xs)
+
+
 class TestTransformations:
     def test_pfaff_identity_at_origin(self):
         spec, pref = pfaff_f1(0.7, 0.4, 0.6, 1.9, 0.0, 0.0)
@@ -623,6 +671,45 @@ def test_euler_evaluation_count_is_pinned(monkeypatch):
     representation_formulas_check()
     # each panel stops one level sooner, on the quadratic-convergence estimate
     assert total == 6_043
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: appell_f1(0.5, 0.3, 0.4, 1.5, 2.0, -3.0),
+    lambda: appell_f1(0.4, 0.5, 0.5, 1.5, 1 - 1j, 1 + 1j),
+    lambda: lauricella_fd(HyperSpec(0.5, (0.2, 0.3, 0.4), 1.5, (5.0, -2.0, 3.0))),
+    lambda: lauricella_fd(HyperSpec(1.0, (0.5,) * 4, 2.0, tuple(unit_partition_roots(4)))),
+    lambda: hyp2f1(1.5, 0.5, 2.5, 5.0),   # integer a - b: no connection formula
+])
+def test_wrapped_integrate_sees_every_euler_sample(monkeypatch, evaluate):
+    """A wrapper set on `hyperfun.integrate` sees each Euler integral and each sample.
+
+    The wrapper swaps the spec's evaluators for counting ones with
+    `dataclasses.replace`, as an outside tracer does, so every sample the
+    rule takes must go through them, and their count is the reported one.
+    """
+    integrate = hyperfun.integrate
+    integrals = samples = reported = 0
+
+    def counting(fn):
+        def counted(*args):
+            nonlocal samples
+            samples += 1
+            return fn(*args)
+        return counted
+
+    def wrapped(spec, lo, hi, *args):
+        nonlocal integrals, reported
+        integrals += 1
+        spec = dataclasses.replace(spec, evaluator=counting(spec.evaluator),
+                                   distance_evaluator=counting(spec.distance_evaluator))
+        result = integrate(spec, lo, hi, *args)
+        reported += result.evaluations
+        return result
+
+    monkeypatch.setattr(hyperfun, "integrate", wrapped)
+    evaluate()
+    assert integrals >= 1
+    assert samples == reported > 0
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,23 @@ class TestFiniteIntervals:
         with pytest.raises(QuadratureError, match="distance_evaluator"):
             integrate(spec, 0.0, 1.0, 1e-10)
 
+    def test_plain_evaluator_smooth_at_split(self):
+        # the nodes rounding onto the split cost a smooth integrand only the
+        # band inside its nearest sample, not a fixed fraction of the panel
+        spec = IntegrandSpec(evaluator=lambda x: 1.0 / (1.0 + 25.0 * (x - 0.3) ** 2), interior_singularities=(0.5,))
+        result = integrate(spec, 0.0, 1.0, 1e-11)
+        want = (math.atan(3.5) + math.atan(1.5)) / 5.0
+        assert abs(result.value - want) <= result.error_estimate <= 1e-11 * want
+
+    def test_plain_evaluator_singular_split_is_charged(self):
+        spec = IntegrandSpec(evaluator=lambda x: abs(x - 0.5) ** -0.5, interior_singularities=(0.5,))
+        result = integrate(spec, 0.0, 1.0, 1e-7)
+        error = abs(result.value - 2.0 * math.sqrt(2.0))
+        assert error > 1e-9   # the band the rounded coordinates cannot reach
+        assert error <= result.error_estimate
+        with pytest.raises(QuadratureError, match="distance_evaluator"):
+            integrate(spec, 0.0, 1.0, 1e-9)
+
     def test_plain_evaluator_fine_at_zero_endpoint(self):
         # the coordinate itself carries full relative precision near zero
         spec = IntegrandSpec(evaluator=lambda x: x ** -0.75, endpoint_exponents=(-0.75, 0.0))
