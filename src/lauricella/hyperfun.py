@@ -286,7 +286,7 @@ def _euler_integrand(
     xs: Sequence[complex],
     side: BranchSide,
 ) -> IntegrandSpec:
-    """Distance-aware integrand u**(a-1) (1-u)**(c-a-1) prod (1-x u)**(-b).
+    """Distance-form integrand u**(a-1) (1-u)**(c-a-1) prod (1-x u)**(-b).
 
     The splits 1/x of the cut arguments cut [0, 1] into panels, and each panel
     gets its own closure with every factor's form fixed in advance (see
@@ -349,23 +349,17 @@ def _euler_integrand(
             g = _real_panel(e_lo, k_lo, e_hi, k_hi, panel_lines, pairs, phase)
         else:
             g = _complex_panel(e_lo, k_lo, e_hi, k_hi, panel_lines, pairs, rest, phase_log)
-        pieces.append((lo, hi, g))
+        pieces.append(g)
 
-    padded = [pieces[0], *pieces, pieces[-1]]   # bisect_right index -> panel
     if len(pieces) == 1:
-        g = pieces[0][2]
+        g = pieces[0]
     else:
-        table = [piece[2] for piece in padded]
+        table = [pieces[0], *pieces, pieces[-1]]   # bisect_right index -> panel
 
         def g(u: float, d_lo: float, d_hi: float) -> complex:
             return table[bisect_right(boundaries, u + 0.5 * (d_hi - d_lo))](u, d_lo, d_hi)
 
-    def f(u: float) -> complex:
-        lo, hi, _ = padded[bisect_right(boundaries, u)]
-        return g(u, u - lo, hi - u)
-
     return IntegrandSpec(
-        evaluator=f,
         interior_singularities=splits,
         endpoint_exponents=(max(am1.real, -0.999), max(cam1.real, -0.999)),
         distance_evaluator=g,
@@ -437,16 +431,19 @@ def _euler_fd(
     xs: Sequence[complex],
     side: BranchSide,
     quad_tol: float,
-) -> complex:
+) -> complex | None:
+    """The Euler integral times its Gamma prefactor, or None where it does not apply.
+
+    It applies when Re c > Re a > 0 and, at each split 1/x of the arguments
+    on the cut, the b's sharing it sum to Re b < 1.  This is the one place
+    that tests it.  A Pfaff transformation cannot make it apply: a -> c - a
+    keeps both Re a > 0 and Re(c - a) > 0, and an argument on the cut maps
+    onto the cut with the same b.
+    """
     if not (c.real > a.real > 0.0):
-        raise DomainError(
-            f"integral path needs Re c > Re a > 0; got a = {a}, c = {c}"
-        )
-    for x_re, b in _cut_groups(bs, xs).values():
-        if b.real >= 1.0:
-            raise DomainError(
-                f"non-integrable split singularity: argument {x_re} on the cut with Re b = {b.real} >= 1"
-            )
+        return None
+    if any(b.real >= 1.0 for _, b in _cut_groups(bs, xs).values()):
+        return None
     spec = _euler_integrand(a, bs, c, xs, side)
     result = integrate(spec, 0.0, 1.0, quad_tol)
     try:
@@ -502,16 +499,16 @@ def hyp2f1(
         return principal_pow(1.0 - x, -a) * hyp2f1_series(a, c - b, c, y)
     if r_x <= _SERIES_RADIUS:
         return hyp2f1_series(a, b, c, x)
-    on_cut = _on_cut(x)
-    if on_cut and x.imag:
+    if x.imag and _on_cut(x):
         # x is taken as on the cut, and its own side of it gives the limit
         side = BranchSide.ABOVE if x.imag > 0.0 else BranchSide.BELOW
     value = _hyp2f1_connection(a, b, c, x, side, quad_tol)
+    if value is None:
+        value = _euler_fd(a, [b], c, [x], side, quad_tol)
+    if value is None:
+        value = _euler_fd(b, [a], c, [x], side, quad_tol)
     if value is not None:
         return value
-    for a_int, b_pow in ((a, b), (b, a)):
-        if c.real > a_int.real > 0.0 and not (on_cut and b_pow.real >= 1.0):
-            return _euler_fd(a_int, [b_pow], c, [x], side, quad_tol)
     raise DomainError(
         f"no admissible evaluation path for 2F1(a={a}, b={b}, c={c} | x={x})"
     )
@@ -564,16 +561,18 @@ def _hyp2f1_connection(
     value, error = 0j, 0.0
     try:
         # integer a - b puts Gamma(b-a) or Gamma(a-b) at a pole, and with it
-        # the series' lower parameter 1 +- (a-b): both raise before any sum
+        # the series' lower parameter 1 +- (a-b): both raise before any sum.
+        # The lower parameters are formed from a and b, not from the rounded
+        # a - b, which would lose their relative precision near an integer.
         lg_c, lg_ba, lg_ab = _log_gamma(c), _log_gamma(b - a), _log_gamma(a - b)
-        for e, e1, d, lg_d, r1, r2 in ((a, a1, b - a, lg_ba, b, c - a), (b, b1, a - b, lg_ab, a, c - b)):
+        for e, e1, low, lg_d, r1, r2 in ((a, a1, 1.0 + a - b, lg_ba, b, c - a), (b, b1, 1.0 + b - a, lg_ab, a, c - b)):
             if _at_pole(r1) or _at_pole(r2):
                 continue
             parts = (lg_c, lg_d, -_log_gamma(r1), -_log_gamma(r2), -e * log_p)
             log_factor = sum(parts)
             if not abs(log_factor.real) <= _LOG_RANGE:
                 return None
-            total, bound = _gauss_sum(e, e1, 1.0 - d, w)
+            total, bound = _gauss_sum(e, e1, low, w)
             factor = cmath.exp(log_factor)
             value += factor * total
             exponent_error = _CONNECTION_ROUNDING * (1.0 + sum(abs(part) for part in parts))
@@ -602,7 +601,8 @@ def appell_f1(
 
     The series runs at whichever of (x1, x2) and its Pfaff image
     (x1/(x1-1), x2/(x2-1)) has the smaller largest modulus, when that is at
-    most 0.9.  Outside, the integral is tried as given, then after Pfaff.
+    most 0.9.  Outside, the Euler integral gives the value where it applies
+    (see `_euler_fd`), and a `DomainError` is raised elsewhere.
 
     An argument with Re x > 1 and |Im x| <= 1e-13 (1 + Re x) is taken as on
     the cut [1, inf), and ``side`` gives its limit whatever the sign of Im x.
@@ -611,21 +611,7 @@ def appell_f1(
     x1, x2 = complex(x1), complex(x2)
     _check_finite(a, b1, b2, c, x1, x2)
     _check_c(c)
-    if _near_one(x1) or _near_one(x2):
-        raise DomainError("argument 1 is on the divergence boundary")
-    r_x = max(abs(x1), abs(x2))
-    r_y = max(abs(x1 / (x1 - 1.0)), abs(x2 / (x2 - 1.0)))
-    if r_y < r_x and r_y <= _SERIES_RADIUS:
-        pref, (y1, y2) = _pfaff_args((b1, b2), (x1, x2), side)
-        return pref * _appell_series(c - a, b1, b2, c, y1, y2)
-    if r_x <= _SERIES_RADIUS:
-        return _appell_series(a, b1, b2, c, x1, x2)
-    if c.real > a.real > 0.0:
-        return _euler_fd(a, [b1, b2], c, [x1, x2], side, quad_tol)
-    spec, pref = pfaff_f1(a, b1, b2, c, x1, x2, side)
-    if spec.c.real > spec.a.real > 0.0:
-        return pref * _euler_fd(spec.a, spec.bs, spec.c, spec.xs, side, quad_tol)
-    raise DomainError(f"no admissible evaluation path for F1(a={a}; {b1},{b2}; {c})")
+    return _fd(a, (b1, b2), c, (x1, x2), side, quad_tol)
 
 
 def lauricella_fd(
@@ -635,8 +621,9 @@ def lauricella_fd(
 ) -> complex:
     """Lauricella FD of any order n >= 1 (n=1 is 2F1, n=2 is Appell F1).
 
-    For n >= 3 the one-dimensional integral representation is always used;
-    a Pfaff transformation is attempted when Re c > Re a > 0 fails.
+    For n >= 2 it takes the route of `appell_f1`: the series when n = 2 and
+    the arguments or their Pfaff images lie inside the polydisk, else the
+    Euler integral where it applies.  For n >= 3 there is no series yet.
 
     For n >= 2 an argument with Re x > 1 and |Im x| <= 1e-13 (1 + Re x) is
     taken as on the cut [1, inf), and ``side`` gives its limit whatever the
@@ -644,18 +631,37 @@ def lauricella_fd(
     """
     if spec.order == 1:
         return hyp2f1(spec.a, spec.bs[0], spec.c, spec.xs[0], side, quad_tol)
-    if spec.order == 2:
-        return appell_f1(spec.a, spec.bs[0], spec.bs[1], spec.c, spec.xs[0], spec.xs[1], side, quad_tol)
-    if any(_near_one(x) for x in spec.xs):
+    return _fd(spec.a, spec.bs, spec.c, spec.xs, side, quad_tol)
+
+
+def _fd(
+    a: complex,
+    bs: Sequence[complex],
+    c: complex,
+    xs: Sequence[complex],
+    side: BranchSide,
+    quad_tol: float,
+) -> complex:
+    """FD of order n >= 2 at coerced and checked parameters."""
+    if any(_near_one(x) for x in xs):
         raise DomainError("argument 1 is on the divergence boundary")
-    if spec.c.real > spec.a.real > 0.0:
-        return _euler_fd(spec.a, spec.bs, spec.c, spec.xs, side, quad_tol)
-    transformed, pref = _pfaff_fd(spec, side)
-    if transformed.c.real > transformed.a.real > 0.0:
-        return pref * _euler_fd(
-            transformed.a, transformed.bs, transformed.c, transformed.xs, side, quad_tol
+    if len(xs) == 2:
+        (b1, b2), (x1, x2) = bs, xs
+        r_x = max(abs(x1), abs(x2))
+        r_y = max(abs(x1 / (x1 - 1.0)), abs(x2 / (x2 - 1.0)))
+        if r_y < r_x and r_y <= _SERIES_RADIUS:
+            pref, (y1, y2) = _pfaff_args(bs, xs, side)
+            return pref * _appell_series(c - a, b1, b2, c, y1, y2)
+        if r_x <= _SERIES_RADIUS:
+            return _appell_series(a, b1, b2, c, x1, x2)
+    value = _euler_fd(a, bs, c, xs, side, quad_tol)
+    if value is None:
+        raise DomainError(
+            f"no admissible evaluation path for FD(a={a}; bs={tuple(bs)}; c={c} | xs={tuple(xs)}): "
+            "the Euler integral needs Re c > Re a > 0 and, at each argument on the cut, "
+            "Re b < 1 summed over the arguments equal to it"
         )
-    raise DomainError(f"no admissible evaluation path for FD spec {spec}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -676,11 +682,6 @@ def _pfaff_args(
     return pref, tuple(new_xs)
 
 
-def _pfaff_fd(spec: HyperSpec, side: BranchSide = DEFAULT_SIDE) -> tuple[HyperSpec, complex]:
-    pref, new_xs = _pfaff_args(spec.bs, spec.xs, side)
-    return HyperSpec(spec.c - spec.a, spec.bs, spec.c, new_xs), pref
-
-
 def pfaff_f1(
     a: complex,
     b1: complex,
@@ -695,7 +696,9 @@ def pfaff_f1(
     Returns (transformed spec, prefactor) with
     F1(a; b1, b2; c | x1, x2) = prefactor * F1(transformed).
     """
-    return _pfaff_fd(HyperSpec(a, (b1, b2), c, (x1, x2)), side)
+    spec = HyperSpec(a, (b1, b2), c, (x1, x2))
+    pref, new_xs = _pfaff_args(spec.bs, spec.xs, side)
+    return HyperSpec(spec.c - spec.a, spec.bs, spec.c, new_xs), pref
 
 
 def fd_order_reduce(spec: HyperSpec, side: BranchSide = DEFAULT_SIDE) -> tuple[HyperSpec, complex]:

@@ -84,17 +84,21 @@ class IntegrandSpec:
     interior_singularities  strictly increasing points inside the interval
                             carrying integrable algebraic singularities
     endpoint_exponents      algebraic orders at (lo, hi); each > -1
-    distance_evaluator      optional f(x, dist_lo, dist_hi) -> complex where
-                            the distances are to the current panel's endpoints
+    distance_evaluator      f(x, dist_lo, dist_hi) -> complex where the
+                            distances are to the current panel's endpoints
                             at full relative precision; wins over `evaluator`
+
+    A spec needs at least one of the two evaluators.
     """
 
-    evaluator: Callable[[float], complex]
+    evaluator: Optional[Callable[[float], complex]] = None
     interior_singularities: tuple[float, ...] = ()
     endpoint_exponents: tuple[float, float] = (0.0, 0.0)
     distance_evaluator: Optional[Callable[[float, float, float], complex]] = None
 
     def __post_init__(self) -> None:
+        if self.evaluator is None and self.distance_evaluator is None:
+            raise ValueError("an integrand needs an evaluator or a distance_evaluator")
         pts = self.interior_singularities
         if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
             raise ValueError("interior singularities must be strictly increasing")
@@ -134,10 +138,7 @@ _node_cache: dict[int, tuple[list[_Node], list[_Node]]] = {}
 def _make_node(t: float) -> Optional[tuple[float, float, float]]:
     """(distance to the end t runs towards, distance to the other, weight)."""
     theta = 0.5 * math.pi * math.sinh(t)
-    try:
-        e = math.exp(-2.0 * abs(theta))
-    except OverflowError:
-        return None
+    e = math.exp(-2.0 * abs(theta))
     near = e / (1.0 + e)
     if near < _SIGMA_FLOOR:
         return None
@@ -384,29 +385,20 @@ def integrate_semi_infinite(
     """
     if not tol >= 1e-13:   # a nan tol fails too
         raise ValueError(f"tol must be >= 1e-13, got {tol}")
-    f = spec.evaluator
+    g, _ = spec._distance_form()
 
     # Divergence tripwire: three decades of non-decreasing |t*f(t)| mean the
-    # tail integral cannot converge.
-    probes = [abs(complex(f(lo + 10.0 ** j))) * (lo + 10.0 ** j) for j in (2, 3, 4)]
+    # tail integral cannot converge.  The probes take the form the mapped
+    # samples take, distances and all.
+    probes = [abs(complex(g(t, t - lo, math.inf))) * t for t in (lo + 10.0 ** j for j in (2, 3, 4))]
     if all(p > 0 for p in probes) and probes[0] <= probes[1] <= probes[2]:
         raise QuadratureError("integrand tail does not decay faster than 1/t")
 
-    distance_form = spec.distance_evaluator
-
-    def g(u: float, _d0: float, d1: float) -> complex:
+    def mapped(u: float, _d0: float, d1: float) -> complex:
         if u < _SEMI_INF_U_FLOOR:
             return 0.0 + 0.0j
-        t = lo + (1.0 - u) / u
-        if distance_form is not None:
-            # d1 is the exact distance to u = 1, so t - lo = d1/u keeps full
-            # relative precision for integrands singular at the finite end
-            return distance_form(t, d1 / u, math.inf) / (u * u)
-        return f(t) / (u * u)
+        # d1 is the exact distance to u = 1, so t - lo = d1/u keeps full
+        # relative precision for integrands singular at the finite end
+        return g(lo + (1.0 - u) / u, d1 / u, math.inf) / (u * u)
 
-    mapped = IntegrandSpec(
-        evaluator=lambda u: g(u, u, 1.0 - u),
-        endpoint_exponents=(mapped_exponent, 0.0),
-        distance_evaluator=g,
-    )
-    return integrate(mapped, 0.0, 1.0, tol)
+    return integrate(IntegrandSpec(endpoint_exponents=(mapped_exponent, 0.0), distance_evaluator=mapped), 0.0, 1.0, tol)

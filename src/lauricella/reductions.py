@@ -72,13 +72,8 @@ def _side_value(side: IntegralSide, ctx: EvalContext) -> complex:
     return integrate(side.spec, side.lo, side.hi, ctx.quad_tol).value
 
 
-def _dist_spec(g, interior=(), exponents=(0.0, 0.0)) -> IntegrandSpec:
-    return IntegrandSpec(
-        evaluator=lambda x: g(x, math.nan, math.nan),
-        interior_singularities=tuple(interior),
-        endpoint_exponents=exponents,
-        distance_evaluator=g,
-    )
+def _dist_spec(g, exponents=(0.0, 0.0)) -> IntegrandSpec:
+    return IntegrandSpec(endpoint_exponents=exponents, distance_evaluator=g)
 
 
 def _cbrt(x: float) -> float:
@@ -139,13 +134,9 @@ def _hermite_ugu() -> ReductionRecord:
     quad_c = z1 * z1 - 0.75 * a           # 4z^3-3az-b = 4(z-z1)(z^2+z1 z+quad_c)
 
     def lhs(z, dl, _dh):
-        if z > 1e50:
-            return 0.0
         return z / math.sqrt((z * z - a) * 4.0 * dl * (z * z + z1 * z + quad_c))
 
     def rhs(y, dl, _dh):
-        if y > 1e100:
-            return 0.0
         return 1.0 / math.sqrt(dl * (y * y - 2.0 * z1 * y + 4.0 * z1 * z1 - 3.0 * a))
 
     return ReductionRecord(
@@ -168,13 +159,9 @@ def _beta_third() -> complex:
 
 def _goursat_dig() -> ReductionRecord:
     def lhs(x, dl, _dh):
-        if x > 1e60:
-            return 0.0
         return 1.0 / math.sqrt(x * dl * (x * x + x + 1.0))
 
     def rhs(t, _dl, _dh):
-        if t > 1e45:
-            return 0.0
         return 1.0 / math.sqrt((t ** 3 + 2.0) * (t ** 3 + 8.0))
 
     return ReductionRecord(
@@ -360,13 +347,12 @@ def _a_side(n: int, a: int) -> IntegralSide:
 def _b_side(n: int, a: int) -> IntegralSide:
     limit = 1e290 ** (1.0 / n)
 
-    def f(t: float) -> float:
+    def g(t, _dl, _dh):
         if t > limit:
             return t ** (a - 1 - 0.5 * n)
         return t ** (a - 1) / math.sqrt(1.0 + t ** n)
 
-    spec = IntegrandSpec(evaluator=f)
-    return IntegralSide(spec, 0.0, math.inf, mapped_exponent=0.5 * n - a - 1)
+    return IntegralSide(_dist_spec(g), 0.0, math.inf, mapped_exponent=0.5 * n - a - 1)
 
 
 def _legendre_z1(n: int, a: int) -> ReductionRecord:

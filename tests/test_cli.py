@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from lauricella.cli import main, _parse_complex, _parse_complex_list
+from lauricella import appell_f1
+from lauricella.cli import main, _format_value, _parse_complex, _parse_complex_list
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -65,6 +66,19 @@ class TestEval:
         out = capsys.readouterr().out.splitlines()
         assert code == 0
         assert out[0] == "1"
+
+    def test_f1_with_three_b_values_is_exit_2(self, capsys):
+        code = main(["eval", "f1", "--a", "0.5", "--bs", "0.3,0.4,0.5", "--c", "1.5",
+                     "--xs", "0.2,0;-0.3,0"])
+        assert code == 2
+        assert "exactly two b parameters" in capsys.readouterr().err
+
+    def test_complex_b_list(self, capsys):
+        code = main(["eval", "f1", "--a", "0.5", "--bs", "0.3,0.1;0.4,-0.2", "--c", "1.5",
+                     "--xs", "0.2,0;-0.3,0"])
+        assert code == 0
+        want = appell_f1(0.5, 0.3 + 0.1j, 0.4 - 0.2j, 1.5, 0.2, -0.3)
+        assert capsys.readouterr().out.splitlines()[0] == _format_value(want)
 
     def test_missing_flag_is_exit_2(self, capsys):
         assert main(["eval", "2f1", "--a", "1", "--c", "1.5"]) == 2

@@ -316,6 +316,16 @@ class TestLauricella:
     def test_collapse_suite(self):
         assert props.run_collapse() >= 50
 
+    def test_refused_order_three_takes_no_integral_and_no_pfaff_factor(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused point reached the integral or a Pfaff factor")
+
+        monkeypatch.setattr(hyperfun, "integrate", refuse)
+        monkeypatch.setattr(hyperfun, "principal_pow", refuse)
+        # c <= a, and a Pfaff transformation cannot change that
+        with pytest.raises(DomainError, match=r"Re c > Re a > 0 and.*Re b < 1"):
+            lauricella_fd(HyperSpec(2.0, (0.5,) * 3, 1.5, (5.0, -2.0, 3.0)))
+
 
 class TestHyperSpec:
     """A frozen value: coerced and checked on construction, compared by its fields."""
@@ -645,9 +655,45 @@ class TestEulerIntegrand:
         assert abs(got - want) <= 1e-13 * abs(want), (got, want)
         if real and lo == 0.0:
             assert isinstance(got, float)  # the real path, on a panel with no phase
-        if lo < u < hi and min(d_lo, d_hi) > 1e-3 * (hi - lo):
-            # the plain evaluator finds the panel from u alone
-            assert spec.evaluator(u) == pytest.approx(want, rel=1e-12)
+
+
+@st.composite
+def _pfaff_pairs(draw):
+    """(a, bs, c, xs, side) with real and complex parameters and arguments.
+
+    Parameters are multiples of 1/16, so c - a is exact and the strict
+    inequalities meet their boundaries.  The arguments on the cut come from
+    a set that x -> x/(x-1) maps onto itself exactly, so arguments sharing
+    a split still share it after Pfaff.
+    """
+    def param(lo, hi):
+        re = draw(st.integers(int(16 * lo), int(16 * hi))) / 16.0
+        return complex(re, draw(st.sampled_from((0.0, 0.0, -0.375, 0.75))))
+
+    n = draw(st.integers(1, 4))
+    a, c = param(-1.0, 2.5), param(-0.5, 3.0)
+    bs = tuple(param(-0.5, 1.2) for _ in range(n))
+    xs = tuple(draw(st.one_of(
+        st.sampled_from((1.25, 1.5, 2.0, 3.0, 5.0)).map(complex),
+        st.floats(-4.0, 0.5).map(complex),
+        st.builds(complex, st.floats(-3.0, 3.0), st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)),
+    )) for _ in range(n))
+    return a, bs, c, xs, draw(st.sampled_from(list(BranchSide)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_pfaff_pairs())
+def test_euler_admissibility_is_pfaff_invariant(case):
+    """The Euler integral applies at a point exactly when it applies at its Pfaff image."""
+    from lauricella.quadrature import QuadratureResult
+
+    a, bs, c, xs, side = case
+    _, ys = hyperfun._pfaff_args(bs, xs, side)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperfun, "integrate", lambda *args: QuadratureResult(1.0, 0.0, 1))
+        applies = hyperfun._euler_fd(a, bs, c, xs, side, 1e-11) is not None
+        applies_after_pfaff = hyperfun._euler_fd(c - a, bs, c, ys, side, 1e-11) is not None
+    assert applies == applies_after_pfaff
 
 
 def test_euler_evaluation_count_is_pinned(monkeypatch):
@@ -880,6 +926,11 @@ class TestConnection:
         # point, and the integral has the value (mpmath.hyp2f1 at 40 digits)
         want = 0.37171654993041386 - 0.039091538634050495j
         assert abs(hyp2f1(0.5, 0.2 + 300j, 1.3 - 200j, 4 + 1j) - want) <= 1e-10 * abs(want)
+
+    def test_near_integer_a_minus_b_keeps_its_lower_parameters(self):
+        # 1 + b - a = -1e-7 exactly; formed as 1 - fl(a - b) it put the
+        # value 5.8e-10 off.  2F1(a, -1; 1 | x) = 1 - a x.
+        assert abs(hyp2f1(1e-7, -1, 1, -15) - (1 + 1.5e-6)) <= 1e-13
 
     def test_integer_a_minus_b_falls_through(self):
         args = (2.0 + 0j, 2.0 + 0j, 5.0 + 0j, 10.0 + 0j, DEFAULT_SIDE, hyperfun.DEFAULT_QUAD_TOL)

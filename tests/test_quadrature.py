@@ -31,6 +31,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             IntegrandSpec(evaluator=lambda x: 1.0, endpoint_exponents=(-1.0, 0.0))
 
+    def test_an_evaluator_is_required(self):
+        with pytest.raises(ValueError, match="evaluator"):
+            IntegrandSpec(endpoint_exponents=(-0.5, 0.0))
+
     def test_bad_interval_and_tol(self):
         spec = IntegrandSpec(evaluator=lambda x: 1.0)
         with pytest.raises(ValueError):
@@ -286,6 +290,12 @@ class TestSemiInfinite:
         spec = IntegrandSpec(evaluator=lambda t: 1.0 / (1.0 + t))
         with pytest.raises(QuadratureError):
             integrate_semi_infinite(spec, 0.0, 1e-9)
+
+    def test_divergent_distance_form_tail_detected(self):
+        # 1/(1 + t - lo) from the distance alone decays only like 1/t
+        spec = IntegrandSpec(distance_evaluator=lambda _t, d_lo, _d_hi: 1.0 / (1.0 + d_lo))
+        with pytest.raises(QuadratureError, match="does not decay faster than 1/t"):
+            integrate_semi_infinite(spec, 1.0, 1e-9)
 
 
 class TestAlgebraicProperties:
