@@ -8,6 +8,8 @@ run quietly with 1, as Python itself exits on a broken pipe.
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import os
 import sys
 from typing import TYPE_CHECKING, Optional
@@ -23,11 +25,12 @@ _EVAL_ERRORS = (DomainError, GammaPoleError, QuadratureError, KeyError, ValueErr
 
 def _parse_complex(token: str) -> complex:
     parts = token.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"cannot parse complex value from {token!r}")
+    if len(parts) > 2:
+        raise ValueError(f"cannot parse complex value from {token!r}")
+    value = complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
+    if not cmath.isfinite(value):
+        raise ValueError(f"values must be finite, got {token!r}")
+    return value
 
 
 def _parse_complex_list(text: str) -> list[complex]:
@@ -38,18 +41,28 @@ def _parse_complex_list(text: str) -> list[complex]:
     if len(parts) == 2:
         # ambiguous "x,y": treat as one complex pair, matching the "re,im" rule
         return [_parse_complex(text)]
-    return [complex(float(tok), 0.0) for tok in parts if tok.strip()]
+    return [_parse_complex(tok) for tok in parts if tok.strip()]
 
 
 def _parse_b_list(text: str) -> list[complex]:
     """b parameters: ';'-separated complex entries, else comma-separated reals."""
-    if ";" in text:
-        return [_parse_complex(tok) for tok in text.split(";") if tok.strip()]
-    return [complex(float(tok), 0.0) for tok in text.split(",") if tok.strip()]
+    sep = ";" if ";" in text else ","
+    return [_parse_complex(tok) for tok in text.split(sep) if tok.strip()]
+
+
+def _quad_tol(text: str) -> float:
+    """--quad-tol: a finite tolerance no tighter than the quadrature's 1e-13 floor."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 1e-13 <= value < math.inf:   # a nan fails too
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 1e-13, got {text!r}")
+    return value
 
 
 def _format_value(value: complex) -> str:
-    if abs(value.imag) <= 1e-13 * max(1.0, abs(value.real)):
+    if abs(value.imag) <= 1e-13 * abs(value):
         return f"{value.real:.15g}"
     sign = "+" if value.imag >= 0 else "-"
     return f"{value.real:.15g} {sign} {abs(value.imag):.15g}i"
@@ -153,7 +166,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=None, help="relative tolerance override")
-    parser.add_argument("--quad-tol", dest="quad_tol", type=float, default=DEFAULT_QUAD_TOL)
+    parser.add_argument("--quad-tol", dest="quad_tol", type=_quad_tol, default=DEFAULT_QUAD_TOL)
     parser.add_argument("--filter", default=None, help="a record id, or a glob over record ids")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -175,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x")
     p_eval.add_argument("--xs")
     p_eval.add_argument("--side", choices=("above", "below"), default="below")
-    p_eval.add_argument("--quad-tol", dest="quad_tol", type=float, default=DEFAULT_QUAD_TOL)
+    p_eval.add_argument("--quad-tol", dest="quad_tol", type=_quad_tol, default=DEFAULT_QUAD_TOL)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run the identity catalog")

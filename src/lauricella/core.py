@@ -2,12 +2,16 @@
 
 All values are plain Python ``complex`` (a pair of binary64 reals).  Returned
 values are always finite; domain problems raise instead of propagating NaN.
+Gamma and log-Gamma of a real argument come from the C math library
+(``math.gamma``, ``math.lgamma``); a complex argument uses a Lanczos sum and
+the reflection formula.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from enum import Enum
 
 __all__ = [
@@ -78,6 +82,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 _LN2 = math.log(2.0)
+_MIN_NORMAL = sys.float_info.min
 
 
 def _sin_pi(z: complex) -> complex:
@@ -132,14 +137,25 @@ def _lanczos(zz: complex) -> tuple[complex, complex]:
 def gamma(z: complex) -> complex:
     """Gamma function for complex arguments.
 
-    Uses a fixed published rational-series approximation on Re z >= 1/2 and
-    the reflection formula elsewhere.  Raises :class:`GammaPoleError` within
-    1e-12 of a non-positive integer and :class:`DomainError` when the value
-    leaves the floating-point range (Re z above about 171.6) or is not finite.
+    A real argument goes to ``math.gamma``.  A complex one uses a fixed
+    published rational-series approximation (Lanczos) on Re z >= 1/2 and the
+    reflection formula elsewhere.  Raises :class:`GammaPoleError` within
+    1e-12 of a non-positive integer, and :class:`DomainError` when the value
+    leaves the normal floating-point range (Re z above about 171.6, or a
+    real z below about -170.6) or the argument is not finite.
     """
     z = complex(z)
     _check_finite(z)
     _check_pole(z)
+    if z.imag == 0.0:
+        try:
+            value = math.gamma(z.real)
+        except OverflowError:
+            raise DomainError(f"gamma({z}) exceeds the floating-point range") from None
+        if not abs(value) >= _MIN_NORMAL:
+            # below x ~ -170.58 math.gamma returns subnormals, and 0 past x ~ -178
+            raise DomainError(f"gamma({z}) is below the normal floating-point range")
+        return complex(value, 0.0)
     if z.real < 0.5:
         # gamma(z) gamma(1-z) = pi / sin(pi z)
         try:
@@ -150,7 +166,7 @@ def gamma(z: complex) -> complex:
     zz = z - 1.0
     acc, t = _lanczos(zz)
     try:
-        value = _SQRT_2PI * t ** (zz + 0.5) * cmath.exp(-t) * acc
+        return _SQRT_2PI * t ** (zz + 0.5) * cmath.exp(-t) * acc
     except OverflowError:
         # the power alone overflows from Re z ~ 143 on, long before the value
         # does; split around exp(-t) it stays in range up to Re z ~ 171.6
@@ -161,21 +177,30 @@ def gamma(z: complex) -> complex:
         value = _SQRT_2PI * half * cmath.exp(-t) * half * acc
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise DomainError(f"gamma({z}) exceeds the floating-point range") from None
-    if z.imag == 0.0:
-        return complex(value.real, 0.0)
-    return value
+        return value
 
 
 def _log_gamma(z: complex) -> complex:
     """A logarithm of Gamma(z), on no fixed branch: only exp(_log_gamma(z)) is meant.
 
-    The same approximation as :func:`gamma` taken in log form, so it stays
-    finite where Gamma leaves the floating-point range; quotients of large
-    Gammas are formed as exp of a difference.  The absolute error grows like
-    |z log z| times the unit roundoff.
+    A real argument goes to ``math.lgamma``, with +i pi added where
+    Gamma(x) < 0.  A complex one uses the approximation of :func:`gamma` in
+    log form, with reflection in log form on Re z < 1/2.  Either way it stays
+    finite where Gamma leaves the floating-point range, so quotients of
+    large Gammas are formed as exp of a difference; a real x whose log-Gamma
+    itself overflows (x above about 2.5e305) raises :class:`DomainError`.
+    The absolute error grows like |z log z| times the unit roundoff.
     """
     z = complex(z)
     _check_pole(z)
+    if z.imag == 0.0:
+        x = z.real
+        try:
+            log = math.lgamma(x)
+        except OverflowError:
+            raise DomainError(f"log Gamma({x}) exceeds the floating-point range") from None
+        # Gamma(x) < 0 exactly on the intervals (-2k-1, -2k)
+        return complex(log, math.pi if x < 0.0 and math.floor(x) % 2 else 0.0)
     if z.real < 0.5:
         return _LOG_PI - _log_sin_pi(z) - _log_gamma(1.0 - z)
     acc, t = _lanczos(z - 1.0)

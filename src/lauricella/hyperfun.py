@@ -518,6 +518,16 @@ def _at_pole(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
 
 
+def _pole_gain(z: complex) -> float:
+    """|z| over the distance from z to the nearest pole of Gamma, at least 1.
+
+    A relative rounding eps of z moves log Gamma(z) by about eps |z psi(z)|,
+    and near a pole psi(z) is about 1 / (distance to it); far from the poles
+    |z psi(z)| is of the size of log Gamma(z) itself.
+    """
+    return abs(z) / abs(z - min(0, round(z.real)))
+
+
 def _hyp2f1_connection(
     a: complex, b: complex, c: complex, x: complex, side: BranchSide, quad_tol: float
 ) -> complex | None:
@@ -539,8 +549,10 @@ def _hyp2f1_connection(
     The value is returned only when |w| <= 0.9, no log-Gamma raised, both
     factors lie inside the float range, the value is finite and the error
     bound is at most quad_tol * |value|.  The bound adds, for each term,
-    the series' rounding bound and the rounding of the exponent (a few eps
-    times the size of each of its logarithms) times the term's size.  It
+    the series' rounding bound and the rounding of the exponent times the
+    term's size.  The exponent's rounding is a few eps times the size of
+    each of its logarithms, plus, for the rounded Gamma arguments b - a,
+    a - b, c - a and c - b, a few eps times their `_pole_gain`.  It
     refuses integer a - b (a Gamma pole), near-integer a - b and any other
     cancellation between the terms, and sums whose own terms cancel.  A NaN
     anywhere fails the test too.
@@ -564,8 +576,9 @@ def _hyp2f1_connection(
         # the series' lower parameter 1 +- (a-b): both raise before any sum.
         # The lower parameters are formed from a and b, not from the rounded
         # a - b, which would lose their relative precision near an integer.
-        lg_c, lg_ba, lg_ab = _log_gamma(c), _log_gamma(b - a), _log_gamma(a - b)
-        for e, e1, low, lg_d, r1, r2 in ((a, a1, 1.0 + a - b, lg_ba, b, c - a), (b, b1, 1.0 + b - a, lg_ab, a, c - b)):
+        ba, ab = b - a, a - b
+        lg_c, lg_ba, lg_ab = _log_gamma(c), _log_gamma(ba), _log_gamma(ab)
+        for e, e1, low, d, lg_d, r1, r2 in ((a, a1, 1.0 + a - b, ba, lg_ba, b, c - a), (b, b1, 1.0 + b - a, ab, lg_ab, a, c - b)):
             if _at_pole(r1) or _at_pole(r2):
                 continue
             parts = (lg_c, lg_d, -_log_gamma(r1), -_log_gamma(r2), -e * log_p)
@@ -575,7 +588,8 @@ def _hyp2f1_connection(
             total, bound = _gauss_sum(e, e1, low, w)
             factor = cmath.exp(log_factor)
             value += factor * total
-            exponent_error = _CONNECTION_ROUNDING * (1.0 + sum(abs(part) for part in parts))
+            sizes = 1.0 + _pole_gain(d) + _pole_gain(r2) + sum(abs(part) for part in parts)
+            exponent_error = _CONNECTION_ROUNDING * sizes
             error += abs(factor) * (bound + exponent_error * abs(total))
     except (DomainError, GammaPoleError):
         return None

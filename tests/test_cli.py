@@ -25,6 +25,17 @@ class TestParsing:
     def test_bare_real_list(self):
         assert _parse_complex_list("0.5,0.5,0.5") == [0.5, 0.5, 0.5]
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "1,nan", "0,-1e999"])
+    def test_non_finite_rejected(self, token):
+        with pytest.raises(ValueError, match="finite"):
+            _parse_complex(token)
+
+    def test_tiny_imaginary_part_kept(self):
+        # an absolute 1e-13 floor printed this value as real
+        assert _format_value(3.1e-15 + 3.1e-15j) == "3.1e-15 + 3.1e-15i"
+        assert _format_value(1.0 + 1e-14j) == "1"
+        assert _format_value(0j) == "0"
+
 
 class TestEval:
     def test_2f1_kummer_point(self, capsys):
@@ -86,6 +97,48 @@ class TestEval:
     def test_bad_value_is_exit_2(self, capsys):
         assert main(["eval", "2f1", "--a", "x", "--b", "1", "--c", "1.5", "--x", "0"]) == 2
         assert "argument error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--a", "nan", "--b", "0.4", "--c", "2.1", "--x", "5"],
+            ["--a", "1.3", "--b", "0.4", "--c", "2.1", "--x", "1e400"],
+            ["--a", "1.3", "--b", "inf,0", "--c", "2.1", "--x", "5"],
+        ],
+    )
+    def test_non_finite_value_is_exit_2(self, capsys, argv):
+        assert main(["eval", "2f1", *argv]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_non_finite_list_entry_is_exit_2(self, capsys):
+        assert main(["eval", "fd", "--a", "1", "--bs", "0.5,nan,0.5", "--c", "2",
+                     "--xs", "0.1,0.2,0.3"]) == 2
+        assert main(["eval", "fd", "--a", "1", "--bs", "0.5,0.5,0.5", "--c", "2",
+                     "--xs", "0.1;0.2;inf,0"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x", ["-0.5", "5"])
+    @pytest.mark.parametrize("quad_tol", ["0", "1e-14", "nan", "inf", "abc"])
+    def test_bad_quad_tol_is_exit_2(self, capsys, x, quad_tol):
+        # a series point at -0.5 never reaches the quadrature, which rejects
+        # such a tolerance itself; both are argument errors
+        code = main(["eval", "2f1", "--a", "1.3", "--b", "0.4", "--c", "2.1", f"--x={x}",
+                     "--quad-tol", quad_tol])
+        assert code == 2
+        assert "--quad-tol" in capsys.readouterr().err
+
+    def test_quad_tol_floor_accepted(self, capsys):
+        assert main(["eval", "2f1", "--a", "1.3", "--b", "0.4", "--c", "2.1", "--x", "5",
+                     "--quad-tol", "1e-13"]) == 0
+
+    def test_tiny_complex_value_keeps_its_imaginary_part(self, capsys):
+        # both parts are about 3.1e-15: mpmath.hyp2f1 at 30 digits
+        code = main(["eval", "2f1", "--a", "3", "--b", "30.5", "--c", "1.2", "--x", "1000,1000"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        want = 3.1131157033822156e-15 + 3.1141025210213493e-15j
+        assert out[0].endswith("i")
+        assert abs(_parse_value(out[0]) - want) <= 1e-12 * abs(want)
 
     def test_side_flag_conjugates(self, capsys):
         assert main(["eval", "fd", "--a", "1", "--bs", "0.5,0.5,0.5", "--c", "2",
@@ -213,7 +266,17 @@ class TestVerifyCommand:
         assert "evaluation error" not in out
 
 
+    def test_bad_quad_tol_is_exit_2(self, capsys):
+        # at 0 the one record came out "fail" with exit code 1
+        assert main(["verify", "--filter", "enu5-1", "--quad-tol", "0"]) == 2
+        assert "--quad-tol" in capsys.readouterr().err
+
+
 class TestReduceCommand:
+    def test_bad_quad_tol_is_exit_2(self, capsys):
+        assert main(["reduce", "--filter", "maier-g4", "--quad-tol", "nan"]) == 2
+        assert "--quad-tol" in capsys.readouterr().err
+
     def test_goursat_filter(self, capsys):
         code = main(["reduce", "--filter", "goursat-*", "--format", "json"])
         rows = json.loads(capsys.readouterr().out)

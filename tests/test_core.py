@@ -72,11 +72,37 @@ class TestGamma:
 
     @pytest.mark.parametrize("x", [151.5, 160.25, 170.5, 171.6, -150.5, -170.5])
     def test_large_arguments_within_float_range(self, x):
-        # the power t**(z - 1/2) overflows here although the value does not
-        assert gamma(x).real == pytest.approx(math.gamma(x), rel=1e-14)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = float(mpmath.gamma(x))
+        assert gamma(x) == pytest.approx(want, rel=1e-14)
 
-    @pytest.mark.parametrize("x", [171.7, 200.0, 1e5])
+    @settings(max_examples=400, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.floats(min_value=-170.5, max_value=171.6),
+            # within 1e-9 of a pole, where Gamma is about 1/(n! (x + n))
+            st.builds(
+                lambda n, offset, sign: -n + sign * offset,
+                st.integers(0, 170),
+                st.floats(min_value=2e-12, max_value=1e-9),
+                st.sampled_from([1.0, -1.0]),
+            ),
+        )
+    )
+    def test_real_axis_against_mpmath(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        if round(x) <= 0 and abs(x - round(x)) < 1e-12:
+            return   # a pole
+        with mpmath.workdps(30):
+            want = float(mpmath.gamma(x))
+        got = gamma(x)
+        assert got.imag == 0.0
+        assert abs(got.real - want) <= 1e-14 * abs(want), x
+
+    @pytest.mark.parametrize("x", [171.7, 200.0, 1e5, -171.5, -180.5])
     def test_value_beyond_float_range_is_domain_error(self, x):
+        # below -170.6 the value is subnormal or 0, not a normal float
         with pytest.raises(DomainError, match="floating-point range"):
             gamma(x)
 
@@ -129,11 +155,35 @@ class TestLogGamma:
             turns = round(diff.imag / (2 * math.pi))
             assert abs(diff - 2j * math.pi * turns) <= 1e-14 * (1.0 + abs(want)), z
 
+    @settings(max_examples=400, derandomize=True, database=None)
+    # the second range keeps half the draws among the negative poles and sign changes
+    @given(st.one_of(st.floats(min_value=-400.0, max_value=1e6), st.floats(min_value=-400.0, max_value=10.0)))
+    def test_real_axis_against_mpmath(self, x):
+        # the sign of Gamma(x) is the +i pi term: compared modulo 2 pi i, a
+        # wrong sign is off by pi
+        from lauricella.core import _log_gamma
+
+        mpmath = pytest.importorskip("mpmath")
+        if round(x) <= 0 and abs(x - round(x)) < 1e-12:
+            return   # a pole
+        with mpmath.workdps(30):
+            want = complex(mpmath.loggamma(x))
+        diff = _log_gamma(x) - want
+        turns = round(diff.imag / (2 * math.pi))
+        assert abs(diff - 2j * math.pi * turns) <= 1e-14 * (1.0 + abs(want)), x
+
     def test_poles_raise(self):
         from lauricella.core import _log_gamma
 
         with pytest.raises(GammaPoleError):
             _log_gamma(-3.0)
+
+    @pytest.mark.parametrize("x", [1e306, 1.7e308])
+    def test_log_beyond_float_range_is_domain_error(self, x):
+        from lauricella.core import _log_gamma
+
+        with pytest.raises(DomainError, match="floating-point range"):
+            _log_gamma(x)
 
 
 class TestPochhammer:

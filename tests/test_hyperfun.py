@@ -975,6 +975,45 @@ class TestConnection:
             want = complex(mpmath.hyp2f1(mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(c), z))
         assert abs(got - want) <= 1e-10 * max(abs(want), 1e-12), (case, got, want)
 
+    def test_bound_covers_real_parameter_values(self):
+        # The bound charges _CONNECTION_ROUNDING per unit of each log-Gamma
+        # and of each rounded Gamma argument's _pole_gain.  Without the gain,
+        # a - b = -1 + 2e-8 here came back 1.4 % off under a bound of 4e-7.
+        # A value is returned exactly when bound <= quad_tol |value|, and the
+        # value does not depend on quad_tol, so the tightest tolerance of a
+        # factor-2 ladder that returns it is within 2x of its own bound.
+        import random
+
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(13)
+        ladder = [1e-13 * 2.0**k for k in range(40)]
+        checked = 0
+        for _ in range(400):
+            span = rng.choice((5.0, 40.0))
+            a, b, c = (rng.uniform(-span, span) for _ in range(3))
+            if rng.random() < 0.3:
+                # a - b near an integer, where the two terms cancel
+                b = a + rng.randint(-3, 3) + rng.choice((1.0, -1.0)) * 10.0 ** -rng.uniform(2.0, 8.0)
+            r = rng.uniform(0.05, 0.9)
+            w = complex(r) if rng.random() < 0.5 else cmath.rect(r, rng.uniform(-math.pi, math.pi))
+            x = 1.0 / w if rng.random() < 0.5 else 1.0 - 1.0 / w
+            side = rng.choice((BranchSide.BELOW, BranchSide.ABOVE))
+            args = (complex(a), complex(b), complex(c), complex(x), side)
+            for tol in ladder:
+                got = hyperfun._hyp2f1_connection(*args, tol)
+                if got is not None:
+                    break
+            else:
+                continue
+            with mpmath.workdps(40):
+                z = mpmath.mpc(x)
+                if x.imag == 0.0 and x.real > 1.0:
+                    z = mpmath.mpc(x.real, mpmath.mpf("-1e-30") if side is BranchSide.BELOW else mpmath.mpf("1e-30"))
+                want = complex(mpmath.hyp2f1(a, b, c, z))
+            assert abs(got - want) <= tol * abs(got), (args, tol, got, want)
+            checked += 1
+        assert checked >= 300
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
