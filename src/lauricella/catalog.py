@@ -40,16 +40,16 @@ I = 1j
 # plan helpers
 
 def _2f1(a, b, c, x):
-    return lambda ctx: hyp2f1(a, b, c, x, ctx.side, ctx.quad_tol)
+    return lambda ctx: hyp2f1(a, b, c, x, quad_tol=ctx.quad_tol)
 
 
 def _f1(a, b1, b2, c, x1, x2):
-    return lambda ctx: appell_f1(a, b1, b2, c, x1, x2, ctx.side, ctx.quad_tol)
+    return lambda ctx: appell_f1(a, b1, b2, c, x1, x2, quad_tol=ctx.quad_tol)
 
 
 def _fd(a, bs, c, xs):
     spec = HyperSpec(a, tuple(bs), c, tuple(xs))
-    return lambda ctx: lauricella_fd(spec, ctx.side, ctx.quad_tol)
+    return lambda ctx: lauricella_fd(spec, quad_tol=ctx.quad_tol)
 
 
 def _const(fn):

@@ -50,14 +50,27 @@ def _parse_b_list(text: str) -> list[complex]:
     return [_parse_complex(tok) for tok in text.split(sep) if tok.strip()]
 
 
+def _float_or_nan(text: str) -> float:
+    # text that is no number reads as nan, which every range check below refuses
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def _quad_tol(text: str) -> float:
     """--quad-tol: a finite tolerance no tighter than the quadrature's 1e-13 floor."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 1e-13 <= value < math.inf:   # a nan fails too
+    value = _float_or_nan(text)
+    if not 1e-13 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 1e-13, got {text!r}")
+    return value
+
+
+def _tol(text: str) -> float:
+    """--tol: a finite check tolerance above 0."""
+    value = _float_or_nan(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return value
 
 
@@ -105,11 +118,21 @@ def _report_text(reports: list[EvalReport]) -> str:
 
 
 def _finish(reports: list[EvalReport], args: argparse.Namespace) -> int:
-    """Write the report to --out or stdout; exit code 1 when a record fails."""
+    """Write the report to --out or stdout; exit code 1 when a record fails.
+
+    An empty report (--filter matched nothing) or an unwritable --out is exit code 2.
+    """
+    if not reports:
+        print(f"no record matches --filter {args.filter!r}", file=sys.stderr)
+        return 2
     text = _report_json(reports) if args.format == "json" else _report_text(reports)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 1 if any(r.status == "fail" for r in reports) else 0
@@ -165,7 +188,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=None, help="relative tolerance override")
+    parser.add_argument("--tol", type=_tol, default=None, help="relative tolerance override")
     parser.add_argument("--quad-tol", dest="quad_tol", type=_quad_tol, default=DEFAULT_QUAD_TOL)
     parser.add_argument("--filter", default=None, help="a record id, or a glob over record ids")
     parser.add_argument("--format", choices=("text", "json"), default="text")

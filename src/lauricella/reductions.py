@@ -431,7 +431,7 @@ def substitution_errors(id: str) -> list[float]:
 
 def _fd_plan(pref: float, a, bs, c, xs) -> Plan:
     spec = HyperSpec(a, tuple(bs), c, tuple(xs))
-    return lambda ctx: pref * lauricella_fd(spec, ctx.side, ctx.quad_tol)
+    return lambda ctx: pref * lauricella_fd(spec, quad_tol=ctx.quad_tol)
 
 
 def _quad_plan(g, exponents, lo: float, hi: float) -> Plan:

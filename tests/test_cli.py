@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lauricella import appell_f1
+from lauricella import appell_f1, verify_all
 from lauricella.cli import main, _format_value, _parse_complex, _parse_complex_list
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -270,6 +270,35 @@ class TestVerifyCommand:
         # at 0 the one record came out "fail" with exit code 1
         assert main(["verify", "--filter", "enu5-1", "--quad-tol", "0"]) == 2
         assert "--quad-tol" in capsys.readouterr().err
+
+
+class TestRunArguments:
+    @pytest.mark.parametrize("command,filter", [("verify", "kummer*"), ("reduce", "goursat-*")])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "abc"])
+    def test_bad_tol_is_exit_2(self, capsys, command, filter, tol):
+        assert main([command, "--filter", filter, "--tol", tol]) == 2
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,filter", [("verify", "kumer*"), ("reduce", "nope")])
+    def test_empty_filter_is_exit_2(self, capsys, command, filter):
+        assert main([command, "--filter", filter]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"no record matches --filter {filter!r}" in captured.err
+
+    def test_empty_filter_is_an_empty_list_in_the_library(self):
+        from lauricella.identities import run_all
+        from lauricella.reductions import CHECKS, check_reduction
+
+        assert verify_all("kumer*") == []
+        assert run_all(CHECKS, check_reduction, "nope") == []
+
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "report.json"
+        code = main(["verify", "--filter", "enu5-1", "--out", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("cannot write report: ")
+        assert not target.exists()
 
 
 class TestReduceCommand:
