@@ -12,7 +12,7 @@ import cmath
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 from .core import BranchSide, DomainError, GammaPoleError, QuadratureError
 from .hyperfun import DEFAULT_QUAD_TOL, HyperSpec, appell_f1, hyp2f1, lauricella_fd
@@ -95,6 +95,7 @@ def _report_json(reports: list[EvalReport]) -> str:
             "rel_err": r.rel_err,
             "status": r.status,
             "elapsed_ms": r.elapsed * 1000.0,
+            "note": r.note,
         })
     return json.dumps(rows, indent=2, separators=(",", ": "))
 
@@ -117,24 +118,42 @@ def _report_text(reports: list[EvalReport]) -> str:
     return "\n".join(lines)
 
 
-def _finish(reports: list[EvalReport], args: argparse.Namespace) -> int:
-    """Write the report to --out or stdout; exit code 1 when a record fails.
+def _run(args: argparse.Namespace, run: Callable[[], list[EvalReport]]) -> int:
+    """Run the records and report them; exit code 1 when a record fails.
 
-    An empty report (--filter matched nothing) or an unwritable --out is exit code 2.
+    --out is opened before any record runs, so a path that cannot be written
+    is exit code 2 at once, as are an empty report (--filter matched nothing)
+    and a failed write.
     """
+    if not args.out:
+        return _finish(run(), args, None)
+    try:
+        handle = open(args.out, "w")
+    except OSError as exc:
+        return _cannot_write(exc)
+    with handle:
+        return _finish(run(), args, handle)
+
+
+def _cannot_write(exc: OSError) -> int:
+    print(f"cannot write report: {exc}", file=sys.stderr)
+    return 2
+
+
+def _finish(reports: list[EvalReport], args: argparse.Namespace, handle: Optional[TextIO]) -> int:
+    """Write the report to the open --out file, or to stdout when it is None."""
     if not reports:
         print(f"no record matches --filter {args.filter!r}", file=sys.stderr)
         return 2
     text = _report_json(reports) if args.format == "json" else _report_text(reports)
-    if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            print(f"cannot write report: {exc}", file=sys.stderr)
-            return 2
-    else:
+    if handle is None:
         print(text)
+    else:
+        try:
+            handle.write(text + "\n")
+            handle.flush()
+        except OSError as exc:
+            return _cannot_write(exc)
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 
@@ -177,14 +196,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .identities import verify_all
 
-    return _finish(verify_all(args.filter, args.tol, args.quad_tol), args)
+    return _run(args, lambda: verify_all(args.filter, args.tol, args.quad_tol))
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     from .identities import run_all
     from .reductions import CHECKS, check_reduction
 
-    return _finish(run_all(CHECKS, check_reduction, args.filter, args.tol, args.quad_tol), args)
+    return _run(args, lambda: run_all(CHECKS, check_reduction, args.filter, args.tol, args.quad_tol))
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:

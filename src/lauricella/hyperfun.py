@@ -10,14 +10,21 @@ at whichever of x and its Pfaff image x/(x-1) is nearer 0:
 The image is taken when its largest modulus is both smaller than that of the
 arguments and inside the radius.  For one argument it is nearer 0 exactly
 when |x - 1| > 1: x = -0.9 sums at 0.47 instead of at -0.9, and x = -3 sums
-at 3/4 instead of going to the integral.  With real parameters and argument
-the Gauss series runs in float arithmetic, which gives the same bits as the
-complex sum at about half the cost per term.
+at 3/4 instead of going to the integral.
 
 Appell F1 is summed by total degree n = m1 + m2: its n-th term is
 (a)_n/(c)_n p_n, with p_n the coefficient of t**n in
 (1 - x1 t)**(-b1) (1 - x2 t)**(-b2), which a three-term recurrence gives in
 one step per term, so N terms cost O(N) instead of the double series' O(N**2).
+
+Both series kernels pick one of three arithmetic paths from their inputs:
+float arithmetic when every parameter and argument is real (for 2F1 in the
+complex sum's order, so with the same bits at about half the cost per term);
+float coefficient ratios applied to a complex term when only the arguments
+(for F1 also the b's) are complex; complex arithmetic when a or c (for 2F1
+also b) is complex.  Each keeps the running 1 + sum|term|, an upper bound on
+|sum|, and computes |sum| only for a term already below 1e-16 of it, so the
+stopping test costs one modulus less per term and never stops a sum earlier.
 
 Off the disk, 2F1 first tries its two-term connection formula at whichever of
 1/x and 1/(1-x) is nearer 0 (DLMF 15.8.2, 15.8.3): two Gauss sums, up to seven
@@ -176,11 +183,22 @@ def hyp2f1_series(a: complex, b: complex, c: complex, x: complex) -> complex:
 def _gauss_sum(a: complex, b: complex, c: complex, x: complex) -> tuple[complex, float]:
     """The Gauss series at finite a, b, x, admissible c and |x| <= 0.9, and a bound on its error.
 
+    The sum runs on one of three arithmetic paths:
+
+    * all of a, b, c and x real: float arithmetic, with the operations of
+      the complex sum in the same order, so it gives the same bits;
+    * real a, b and c with complex x: the term ratio
+      (a+k)(b+k)/((c+k)(k+1)) in floats, then one complex multiply of the
+      term by it and one by x;
+    * complex a, b or c: complex arithmetic throughout.
+
     The sum stops at a term that is exactly 0, or after two consecutive
     terms below 1e-16 of it once the term ratio |x| |a+k| |b+k| / (|c+k| (k+1))
     is at most rho = (1 + |x|)/2 for every later k.  So a dip of the terms
     near a zero of a + k or b + k cannot end it before the terms that c + k
-    near 0 blows up.
+    near 0 blows up.  |sum| is computed only for a term already below 1e-16
+    of the running 1 + sum|term|, which bounds |sum| from above: the pre-test
+    skips the modulus on most terms and never ends a sum earlier.
 
     The bound is eps * max|term| * terms for the rounding (each term carries
     a relative rounding error of a few eps, and the sum can be no more
@@ -191,19 +209,27 @@ def _gauss_sum(a: complex, b: complex, c: complex, x: complex) -> tuple[complex,
     # floats in float arithmetic: each addition then takes the interpreter's
     # fast path, int + int or float + float.
     indices, one = range(_MAX_TERMS), 1
-    if not (a.imag or b.imag or c.imag or x.imag):
-        # the same sum in float arithmetic: complex operations with zero
-        # imaginary parts round exactly as their real parts do
-        a, b, c, x = a.real, b.real, c.real, x.real
+    float_ratio = False
+    if not (a.imag or b.imag or c.imag):
+        a, b, c = a.real, b.real, c.real
         indices, one = map(float, indices), 1.0
+        float_ratio = x.imag != 0.0
+        if not float_ratio:
+            # the same sum in float arithmetic: complex operations with zero
+            # imaginary parts round exactly as their real parts do
+            x = x.real
     total = term = 1.0
-    peak = 1.0
+    peak = mass = 1.0  # max |term| and 1 + sum |term|
     last_small = -2  # the index of the last term below 1e-16 of the sum
     for k in indices:
-        term = term * (a + k) * (b + k) / ((c + k) * (one + k)) * x
+        if float_ratio:
+            term = term * ((a + k) * (b + k) / ((c + k) * (one + k))) * x
+        else:
+            term = term * (a + k) * (b + k) / ((c + k) * (one + k)) * x
         total += term
         size = abs(term)
-        if size < 1e-16 * abs(total):
+        mass += size
+        if size < 1e-16 * mass and size < 1e-16 * abs(total):
             if last_small == k - 1:
                 n = k + 1.0  # the next term's index, and the count of terms less one
                 if size == 0.0:  # every later term is 0 too
@@ -230,28 +256,53 @@ def _gauss_sum(a: complex, b: complex, c: complex, x: complex) -> tuple[complex,
 
 
 def _appell_series(a, b1, b2, c, x1, x2) -> complex:
-    # F1 = sum_n (a)_n/(c)_n p_n over the total degree n = m1 + m2, where
-    # p_n = [t**n] (1 - x1 t)**(-b1) (1 - x2 t)**(-b2).  From Q P' = R P with
-    # Q = (1 - x1 t)(1 - x2 t):
-    #   (n+1) p_{n+1} = (n (x1+x2) + b1 x1 + b2 x2) p_n - x1 x2 (n - 1 + b1 + b2) p_{n-1}.
-    # Two consecutive zero p's make every later p zero, so the stopping rule
-    # cannot end the sum early on the parity zeros of x2 = -x1.
+    """Appell F1 by total degree n = m1 + m2, at max(|x1|, |x2|) <= 0.9.
+
+    F1 = sum_n (a)_n/(c)_n p_n, where p_n = [t**n] (1 - x1 t)**(-b1)
+    (1 - x2 t)**(-b2).  From Q P' = R P with Q = (1 - x1 t)(1 - x2 t):
+
+        (n+1) p_{n+1} = (n (x1+x2) + b1 x1 + b2 x2) p_n
+                        - x1 x2 (n - 1 + b1 + b2) p_{n-1},
+
+    and both coefficients advance by one addition per term.  The sum runs
+    on one of three arithmetic paths:
+
+    * every parameter and argument real: float arithmetic;
+    * real a and c with a complex b or x: (a)_n/(c)_n in floats, p_n and
+      the terms complex;
+    * complex a or c: complex arithmetic throughout.
+
+    The sum stops after two consecutive terms below 1e-16 of it.  Two
+    consecutive zero p's make every later p zero, so that rule cannot end
+    the sum early on the parity zeros of x2 = -x1.  As in `_gauss_sum`,
+    |sum| is computed only for a term already below 1e-16 of the running
+    1 + sum|term|.
+    """
+    if not (a.imag or c.imag):
+        a, c = a.real, c.real
+        if not (b1.imag or b2.imag or x1.imag or x2.imag):
+            b1, b2, x1, x2 = b1.real, b2.real, x1.real, x2.real
     s = x1 + x2
-    r = b1 * x1 + b2 * x2
     prod = x1 * x2
-    bsum = b1 + b2 - 1.0
-    p_prev, p = 0j, complex(1.0)
-    total = ratio = complex(1.0)
+    lin = b1 * x1 + b2 * x2          # n (x1+x2) + b1 x1 + b2 x2 at n = 0
+    quad = prod * (b1 + b2 - 1.0)    # x1 x2 (n - 1 + b1 + b2) at n = 0
+    p_prev, p = 0.0, 1.0
+    total = ratio = 1.0
+    mass = 1.0  # 1 + sum |term|
     small = 0
-    for n in range(_MAX_TERMS):
-        p_prev, p = p, ((n * s + r) * p - prod * (n + bsum) * p_prev) / (n + 1)
+    for n in map(float, range(_MAX_TERMS)):
+        p_prev, p = p, (lin * p - quad * p_prev) / (n + 1.0)
+        lin += s
+        quad += prod
         ratio = ratio * (a + n) / (c + n)
         term = ratio * p
         total += term
-        if abs(term) < 1e-16 * abs(total):
+        size = abs(term)
+        mass += size
+        if size < 1e-16 * mass and size < 1e-16 * abs(total):
             small += 1
             if small >= 2:
-                return total
+                return complex(total)
         else:
             small = 0
     raise DomainError("Appell series did not converge within the term budget")

@@ -206,7 +206,8 @@ class TestVerifyCommand:
         assert len(rows) == 6
         assert all(row["status"] == "pass" for row in rows)
         assert set(rows[0]) == {"id", "anchor", "lhs", "rhs", "abs_err", "rel_err",
-                                "status", "elapsed_ms"}
+                                "status", "elapsed_ms", "note"}
+        assert rows[0]["note"] == ""
         # byte-identical reserialization
         assert json.dumps(rows, indent=2, separators=(",", ": ")) == out.rstrip("\n")
 
@@ -230,6 +231,13 @@ class TestVerifyCommand:
         rows = json.loads(target.read_text())
         assert rows[0]["id"] == "enu5-1"
         assert rows[0]["lhs"]["im"] == pytest.approx(-0.9270373386506859, rel=1e-10)
+
+    def test_json_row_carries_the_erratum_note(self, capsys):
+        code = main(["verify", "--filter", "bg00", "--format", "json"])
+        rows = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert rows[0]["status"] == "pass_with_erratum"
+        assert "as printed |rhs/lhs| = " in rows[0]["note"]
 
     def test_exact_id_with_brackets(self, capsys):
         # brackets in a grid id would be a glob character class
@@ -293,12 +301,27 @@ class TestRunArguments:
         assert verify_all("kumer*") == []
         assert run_all(CHECKS, check_reduction, "nope") == []
 
-    def test_unwritable_out_is_exit_2(self, tmp_path, capsys):
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        from lauricella import identities
+
+        ran = []
+        monkeypatch.setattr(identities, "verify", lambda id, *args: ran.append(id))
         target = tmp_path / "no-such-dir" / "report.json"
         code = main(["verify", "--filter", "enu5-1", "--out", str(target)])
         assert code == 2
         assert capsys.readouterr().err.startswith("cannot write report: ")
         assert not target.exists()
+        assert ran == []  # --out is opened before any record runs
+
+    def test_unwritable_out_is_exit_2_before_reduce_runs(self, tmp_path, capsys, monkeypatch):
+        from lauricella import reductions
+
+        ran = []
+        monkeypatch.setattr(reductions, "check_reduction", lambda id, *args: ran.append(id))
+        code = main(["reduce", "--filter", "goursat-*", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("cannot write report: ")
+        assert ran == []
 
 
 class TestReduceCommand:

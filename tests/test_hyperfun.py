@@ -3,6 +3,8 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -557,6 +559,100 @@ class TestAppellSeries:
         *args, want = point
         got = appell_f1(*args)
         assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+# ---------------------------------------------------------------------------
+# the series kernels' arithmetic paths
+
+def _reference_real_gauss_sum(a, b, c, x):
+    """The float Gauss loop with its bound, as summed before the running-sum pre-test.
+
+    `hyperfun._gauss_sum` must return the same (value, bound) bits for real
+    parameters and argument.
+    """
+    total = term = 1.0
+    peak = 1.0
+    last_small = -2
+    for k in map(float, range(100_000)):
+        term = term * (a + k) * (b + k) / ((c + k) * (1.0 + k)) * x
+        total += term
+        size = abs(term)
+        if size < 1e-16 * abs(total):
+            if last_small == k - 1:
+                n = k + 1.0
+                if size == 0.0:
+                    return complex(total), sys.float_info.epsilon * peak * (n + 1.0)
+                if n > -c:
+                    num_lo, num_hi = sorted((abs(a), abs(b)))
+                    den_lo, den_hi = (c, 1.0) if c < 1.0 else (1.0, c)
+                    g = (n + num_lo) / (n + den_lo)
+                    h = (n + num_hi) / (n + den_hi)
+                    r = abs(x)
+                    rho = 0.5 + 0.5 * r
+                    if r * (g if g > 1.0 else 1.0) * (h if h > 1.0 else 1.0) <= rho:
+                        bound = sys.float_info.epsilon * peak * (n + 1.0) + size * rho / (1.0 - rho)
+                        return complex(total), bound
+            last_small = k
+        elif size > peak:
+            peak = size
+    raise AssertionError("reference Gauss loop did not converge")
+
+
+# (a, b1, b2, c, x1, x2, F1) on a seeded box with max |x| in [0.8, 0.9]: real,
+# real-a-and-c and complex parameters, x2 = -x1 with equal and unequal b, and
+# the slowest point of the eval-disk benchmark first.  mpmath.appellf1 at 30
+# digits, frozen because it takes up to seconds per point there.
+_F1_BOX_POINTS = [
+    (0.5, 0.5, 0.5, 1.5, 0.89, 0.89, (1.8741562839645822+0j)),
+    (2.344, -1.465, 0.708, 0.895, 0.899, 0.049, (-0.41625910123269644+0j)),
+    (2.499, -0.486, -0.781, 2.27, (-0.21-0.745j), 0.828, (0.19539258850156305+0.06440832543758948j)),
+    (-0.59, 0.68, -0.583, 1.551, (-0.12+0.377j), (0.856-0.056j), (1.228412460389749-0.0994447536422105j)),
+    (-0.582, 0.582, -0.148, 2.442, 0.881, (0.169+0.036j), (0.869801545551593+0.0014072044297177857j)),
+    ((1.532+0.451j), -1.448, 1.032, (1.825+0.843j), (-0.288-0.144j), (-0.634+0.512j), (0.8220951345483063+0.35540380113598763j)),
+    (2.152, -0.803, 0.131, 1.75, 0.808, -0.808, (0.060224500214511714+0j)),
+    (-0.568, 1.214, 1.214, 1.604, (0.231-0.774j), (-0.231+0.774j), (1.0360649478169157+0.020578404292268856j)),
+    (-1.481, -0.023, -0.372, 2.6, (0.207-0.869j), (-0.029+0.023j), (0.997206087345317-0.00621237678860599j)),
+    (-1.287, -0.0, -0.057, 2.941, 0.804, 0.382, (1.0093985843345388+0j)),
+    (0.08, 0.833, 0.833, 2.231, -0.826, 0.826, (1.0086556101959872+0j)),
+    (1.392, -0.199, 1.006, 0.64, (-0.481-0.095j), (0.842-0.299j), (-4.021333815095974-9.305699822060046j)),
+    ((1.911+0.025j), 1.181, -0.345, (2.787-0.35j), (0.216-0.001j), (-0.862-0.015j), (1.4174781053570364+0.06609950815796568j)),
+    (0.641, -0.024, -1.492, 1.388, (-0.505+0.649j), (0.505-0.649j), (0.6283203440080467+0.3699279974448451j)),
+]
+
+
+class TestSeriesKernels:
+    def test_real_gauss_sum_is_bit_identical_to_the_reference_loop(self):
+        rng = random.Random(2)
+        for i in range(600):
+            a, b, c = rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0), rng.uniform(0.05, 6.0)
+            if i % 3 == 1:
+                a = -float(rng.randint(0, 15))   # terminating
+            elif i % 3 == 2:
+                c = -rng.uniform(0.05, 9.0)      # negative, not an integer
+            x = rng.uniform(-0.9, 0.9)
+            total, bound = hyperfun._gauss_sum(complex(a), complex(b), complex(c), complex(x))
+            want, want_bound = _reference_real_gauss_sum(a, b, c, x)
+            assert (total.real, total.imag, bound) == (want.real, want.imag, want_bound), (a, b, c, x)
+
+    # 300 draws, about 0.5 s
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(0.3, 5.0),
+        st.floats(0.0, 0.9), st.floats(-math.pi, math.pi),
+    )
+    def test_real_parameter_sum_at_complex_x_lies_within_its_bound(self, a, b, c, r, theta):
+        mpmath = pytest.importorskip("mpmath")
+        x = cmath.rect(r, theta)
+        total, bound = hyperfun._gauss_sum(complex(a), complex(b), complex(c), x)
+        with mpmath.workdps(30):
+            want = complex(mpmath.hyp2f1(a, b, c, mpmath.mpc(x)))
+        assert abs(total - want) <= bound, (total, want, bound)
+
+    @pytest.mark.parametrize("point", _F1_BOX_POINTS)
+    def test_appell_series_against_mpmath(self, point):
+        *args, want = point
+        got = hyperfun._appell_series(*map(complex, args))
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
 
 
 # ---------------------------------------------------------------------------
