@@ -35,17 +35,6 @@ def _parse_complex(token: str) -> complex:
 
 def _parse_complex_list(text: str) -> list[complex]:
     """';'-separated complex entries; a bare comma list is read as reals."""
-    if ";" in text:
-        return [_parse_complex(tok) for tok in text.split(";") if tok.strip()]
-    parts = text.split(",")
-    if len(parts) == 2:
-        # ambiguous "x,y": treat as one complex pair, matching the "re,im" rule
-        return [_parse_complex(text)]
-    return [_parse_complex(tok) for tok in parts if tok.strip()]
-
-
-def _parse_b_list(text: str) -> list[complex]:
-    """b parameters: ';'-separated complex entries, else comma-separated reals."""
     sep = ";" if ";" in text else ","
     return [_parse_complex(tok) for tok in text.split(sep) if tok.strip()]
 
@@ -167,7 +156,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if args.function == "2f1":
             b, x = _parse_complex(args.b), _parse_complex(args.x)
         else:
-            bs = _parse_b_list(args.bs)
+            bs = _parse_complex_list(args.bs)
             xs = _parse_complex_list(args.xs)
             if args.function == "f1" and (len(bs) != 2 or len(xs) != 2):
                 raise ValueError("f1 needs exactly two b parameters and two arguments")

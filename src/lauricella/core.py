@@ -3,8 +3,9 @@
 All values are plain Python ``complex`` (a pair of binary64 reals).  Returned
 values are always finite; domain problems raise instead of propagating NaN.
 Gamma and log-Gamma of a real argument come from the C math library
-(``math.gamma``, ``math.lgamma``); a complex argument uses a Lanczos sum and
-the reflection formula.
+(``math.gamma``, ``math.lgamma``).  A complex argument has one approximation,
+a Lanczos sum and the reflection formula, both in log form in ``_log_gamma``;
+a complex Gamma is the exp of that logarithm.
 """
 
 from __future__ import annotations
@@ -78,19 +79,10 @@ _LANCZOS = (
     3.6899182659531622704e-6,
 )
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 _LN2 = math.log(2.0)
 _MIN_NORMAL = sys.float_info.min
-
-
-def _sin_pi(z: complex) -> complex:
-    # reduce by the nearest integer first: z - n is exact, so sin(pi z) keeps
-    # full relative precision even for large |Re z|
-    n = round(z.real)
-    value = cmath.sin(cmath.pi * (z - n))
-    return -value if n % 2 else value
 
 
 def _log_sin_pi(z: complex) -> complex:
@@ -101,7 +93,7 @@ def _log_sin_pi(z: complex) -> complex:
     and the last factor is 1 to within exp(-2 pi |Im w|) < 1e-600.
     """
     n = round(z.real)
-    w = z - n   # exact, as in _sin_pi; sin(pi z) = (-1)**n sin(pi w)
+    w = z - n   # exact, so sin(pi w) keeps full precision; sin(pi z) = (-1)**n sin(pi w)
     parity = 1j * math.pi if n % 2 else 0.0
     try:
         return cmath.log(cmath.sin(cmath.pi * w)) + parity
@@ -126,70 +118,42 @@ def _check_pole(z: complex) -> None:
             raise GammaPoleError(f"gamma pole near z = {nearest}: z = {z}")
 
 
-def _lanczos(zz: complex) -> tuple[complex, complex]:
-    """The rational sum and the shifted base t of the approximation at z = zz + 1."""
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (zz + i)
-    return acc, zz + _LANCZOS_G + 0.5
-
-
 def gamma(z: complex) -> complex:
     """Gamma function for complex arguments.
 
-    A real argument goes to ``math.gamma``.  A complex one uses a fixed
-    published rational-series approximation (Lanczos) on Re z >= 1/2 and the
-    reflection formula elsewhere.  Raises :class:`GammaPoleError` within
-    1e-12 of a non-positive integer, and :class:`DomainError` when the value
-    leaves the normal floating-point range (Re z above about 171.6, or a
-    real z below about -170.6) or the argument is not finite.
+    A real argument goes to ``math.gamma``; a complex one is the exp of
+    :func:`_log_gamma`, the one Lanczos sum and reflection formula.  Raises
+    :class:`GammaPoleError` within 1e-12 of a non-positive integer, and
+    :class:`DomainError` when the argument is not finite or the value leaves
+    the normal floating-point range (for a real z, above about 171.6 or
+    below about -170.6).
     """
     z = complex(z)
     _check_finite(z)
     _check_pole(z)
-    if z.imag == 0.0:
-        try:
-            value = math.gamma(z.real)
-        except OverflowError:
-            raise DomainError(f"gamma({z}) exceeds the floating-point range") from None
-        if not abs(value) >= _MIN_NORMAL:
-            # below x ~ -170.58 math.gamma returns subnormals, and 0 past x ~ -178
-            raise DomainError(f"gamma({z}) is below the normal floating-point range")
-        return complex(value, 0.0)
-    if z.real < 0.5:
-        # gamma(z) gamma(1-z) = pi / sin(pi z)
-        try:
-            return cmath.pi / (_sin_pi(z) * gamma(1.0 - z))
-        except OverflowError:
-            # sin(pi z) left the float range at large |Im z|, where Gamma is tiny
-            return cmath.exp(_log_gamma(z))
-    zz = z - 1.0
-    acc, t = _lanczos(zz)
     try:
-        return _SQRT_2PI * t ** (zz + 0.5) * cmath.exp(-t) * acc
+        value = complex(math.gamma(z.real)) if z.imag == 0.0 else cmath.exp(_log_gamma(z))
     except OverflowError:
-        # the power alone overflows from Re z ~ 143 on, long before the value
-        # does; split around exp(-t) it stays in range up to Re z ~ 171.6
-        try:
-            half = t ** ((zz + 0.5) / 2.0)
-        except OverflowError:
-            half = complex(math.inf, 0.0)
-        value = _SQRT_2PI * half * cmath.exp(-t) * half * acc
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise DomainError(f"gamma({z}) exceeds the floating-point range") from None
-        return value
+        raise DomainError(f"gamma({z}) exceeds the floating-point range") from None
+    # |Re| + |Im| rather than abs(), which can itself overflow near 1e308;
+    # below x ~ -170.58 math.gamma returns subnormals, and 0 past x ~ -178
+    if not abs(value.real) + abs(value.imag) >= _MIN_NORMAL:
+        raise DomainError(f"gamma({z}) is below the normal floating-point range")
+    return value
 
 
 def _log_gamma(z: complex) -> complex:
     """A logarithm of Gamma(z), on no fixed branch: only exp(_log_gamma(z)) is meant.
 
     A real argument goes to ``math.lgamma``, with +i pi added where
-    Gamma(x) < 0.  A complex one uses the approximation of :func:`gamma` in
-    log form, with reflection in log form on Re z < 1/2.  Either way it stays
-    finite where Gamma leaves the floating-point range, so quotients of
-    large Gammas are formed as exp of a difference; a real x whose log-Gamma
-    itself overflows (x above about 2.5e305) raises :class:`DomainError`.
-    The absolute error grows like |z log z| times the unit roundoff.
+    Gamma(x) < 0.  A complex one is the library's one complex Gamma
+    approximation: a fixed published rational-series (Lanczos) sum in log
+    form on Re z >= 1/2, and the reflection formula in log form elsewhere.
+    Either way it stays finite where Gamma leaves the floating-point range,
+    so quotients of large Gammas are formed as exp of a difference; an
+    argument whose log-Gamma itself overflows (|z| above about 1e305) raises
+    :class:`DomainError`.  The absolute error grows like |z log z| times the
+    unit roundoff.
     """
     z = complex(z)
     _check_pole(z)
@@ -202,9 +166,18 @@ def _log_gamma(z: complex) -> complex:
         # Gamma(x) < 0 exactly on the intervals (-2k-1, -2k)
         return complex(log, math.pi if x < 0.0 and math.floor(x) % 2 else 0.0)
     if z.real < 0.5:
-        return _LOG_PI - _log_sin_pi(z) - _log_gamma(1.0 - z)
-    acc, t = _lanczos(z - 1.0)
-    return _LOG_SQRT_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
+        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
+        log = _LOG_PI - _log_sin_pi(z) - _log_gamma(1.0 - z)
+    else:
+        zz = z - 1.0
+        acc = _LANCZOS[0]
+        for i in range(1, len(_LANCZOS)):
+            acc += _LANCZOS[i] / (zz + i)
+        t = zz + _LANCZOS_G + 0.5
+        log = _LOG_SQRT_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
+    if not cmath.isfinite(log):
+        raise DomainError(f"log Gamma({z}) exceeds the floating-point range")
+    return log
 
 
 def pochhammer(a: complex, m: int) -> complex:

@@ -39,32 +39,30 @@ def _check_modulus(k: float) -> float:
     return k
 
 
-def complete_k(k: float) -> float:
-    """First-kind complete integral via the arithmetic-geometric mean."""
-    k = _check_modulus(k)
-    a, b = 1.0, math.sqrt(1.0 - k * k)
-    for _ in range(40):              # quadratic convergence: 8 steps suffice
-        if a - b <= 2e-16 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (a + b)
-
-
-def complete_e(k: float) -> float:
-    """Second-kind complete integral: AGM with accumulated c_n**2 correction."""
-    k = _check_modulus(k)
+def _agm(k: float) -> tuple[float, float]:
+    """AGM of 1 and sqrt(1 - k**2): (a_n + b_n, the sum of 2**(n-1) c_n**2)."""
     a, b = 1.0, math.sqrt(1.0 - k * k)
     c_sum = 0.5 * k * k          # 2**(n-1) * c_n**2 starting at c_0 = k
     power = 0.5
-    for _ in range(40):
+    for _ in range(40):              # quadratic convergence: 8 steps suffice
         if a - b <= 2e-16 * a:
             break
         c = 0.5 * (a - b)
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         power *= 2.0
         c_sum += power * c * c
-    kk = math.pi / (a + b)
-    return kk * (1.0 - c_sum)
+    return a + b, c_sum
+
+
+def complete_k(k: float) -> float:
+    """First-kind complete integral via the arithmetic-geometric mean."""
+    return math.pi / _agm(_check_modulus(k))[0]
+
+
+def complete_e(k: float) -> float:
+    """Second-kind complete integral: AGM with accumulated c_n**2 correction."""
+    total, c_sum = _agm(_check_modulus(k))
+    return math.pi / total * (1.0 - c_sum)
 
 
 def _carlson_rf(x: float, y: float, z: float) -> float:

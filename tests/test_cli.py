@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lauricella import appell_f1, verify_all
+from lauricella import HyperSpec, appell_f1, lauricella_fd, verify_all
 from lauricella.cli import main, _format_value, _parse_complex, _parse_complex_list
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -24,6 +24,13 @@ class TestParsing:
 
     def test_bare_real_list(self):
         assert _parse_complex_list("0.5,0.5,0.5") == [0.5, 0.5, 0.5]
+
+    def test_bare_pair_is_two_reals(self):
+        # a two-entry comma list follows the same rule as any other length
+        assert _parse_complex_list("0.2,0.5") == [0.2, 0.5]
+
+    def test_lone_complex_entry(self):
+        assert _parse_complex_list("0.2,0.5;") == [0.2 + 0.5j]
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "1,nan", "0,-1e999"])
     def test_non_finite_rejected(self, token):
@@ -83,6 +90,19 @@ class TestEval:
                      "--xs", "0.2,0;-0.3,0"])
         assert code == 2
         assert "exactly two b parameters" in capsys.readouterr().err
+
+    def test_f1_bare_comma_lists(self, capsys):
+        code = main(["eval", "f1", "--a", "0.5", "--bs", "0.3,0.4", "--c", "1.5", "--xs", "0.2,0.5"])
+        bare = capsys.readouterr().out.splitlines()[0]
+        assert code == 0
+        assert main(["eval", "f1", "--a", "0.5", "--bs", "0.3,0.4", "--c", "1.5", "--xs", "0.2;0.5"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == bare == "1.11217641882036"
+
+    def test_fd_bare_comma_lists_of_two(self, capsys):
+        code = main(["eval", "fd", "--a", "1", "--bs", "0.5,0.5", "--c", "2", "--xs", "0.2,0.3"])
+        assert code == 0
+        want = lauricella_fd(HyperSpec(1.0, (0.5, 0.5), 2.0, (0.2, 0.3)))
+        assert capsys.readouterr().out.splitlines()[0] == _format_value(want)
 
     def test_complex_b_list(self, capsys):
         code = main(["eval", "f1", "--a", "0.5", "--bs", "0.3,0.1;0.4,-0.2", "--c", "1.5",

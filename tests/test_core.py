@@ -100,9 +100,15 @@ class TestGamma:
         assert got.imag == 0.0
         assert abs(got.real - want) <= 1e-14 * abs(want), x
 
-    @pytest.mark.parametrize("x", [171.7, 200.0, 1e5, -171.5, -180.5])
+    @pytest.mark.parametrize(
+        "x",
+        [171.7, 200.0, 1e5, -171.5, -180.5, -150.5 + 40j, -160.5 + 40j,
+         1e306 + 1j, 1 + 1e306j, -1e306 + 1j, 1e308 + 1e308j],
+    )
     def test_value_beyond_float_range_is_domain_error(self, x):
-        # below -170.6 the value is subnormal or 0, not a normal float
+        # below -170.6 the value is subnormal or 0, not a normal float; so is
+        # |Gamma| ~ 4.5e-316 at -150.5 + 40i and 3.3e-338 at -160.5 + 40i; from
+        # |z| ~ 1e305 on even log-Gamma overflows
         with pytest.raises(DomainError, match="floating-point range"):
             gamma(x)
 
@@ -111,15 +117,16 @@ class TestGamma:
         with pytest.raises(DomainError, match="finite"):
             gamma(z)
 
-    @settings(max_examples=200, derandomize=True, database=None)
+    @settings(max_examples=400, derandomize=True, database=None)
     @given(
         st.floats(min_value=130.0, max_value=400.0),
-        st.sampled_from([0.0, 0.5, -3.0, 40.0, -250.0]),
+        st.sampled_from([1.0, -1.0]),
+        st.sampled_from([0.0, 1e-9, 1e-5, 0.5, -3.0, 40.0, -250.0]),
     )
-    def test_large_arguments_never_overflow_bare(self, re, im):
+    def test_large_arguments_never_overflow_bare(self, size, sign, im):
         try:
-            value = gamma(complex(re, im))
-        except DomainError:
+            value = gamma(complex(sign * size, im))
+        except (DomainError, GammaPoleError):
             return
         assert math.isfinite(value.real) and math.isfinite(value.imag)
 
@@ -133,6 +140,15 @@ class TestGamma:
             want = complex(mpmath.gamma(mpmath.mpc(z)))
         assert abs(gamma(z) - want) <= 1e-12 * abs(want)
         assert abs(cmath.exp(_log_gamma(z)) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("z", [142.7 + 1e-5j, 142.65 + 0.5j, -141.6 + 0.5j, -141.65 + 1e-9j])
+    def test_near_float_range_edge_matches_mpmath(self, z):
+        # |Gamma| ~ 1e244 and 1e-245, where t**(z - 1/2) alone is past the float range
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = complex(mpmath.gamma(mpmath.mpc(z)))
+        got = gamma(z)
+        assert abs(got - want) <= 1e-12 * abs(want), (z, got, want)
 
 
 class TestLogGamma:

@@ -63,6 +63,41 @@ class TestCompleteE:
         assert got == pytest.approx(0.847213084793979, rel=1e-12)
 
 
+def _reference_k(k):
+    # the first-kind AGM loop as it stood before K and E shared one iteration
+    a, b = 1.0, math.sqrt(1.0 - k * k)
+    for _ in range(40):
+        if a - b <= 2e-16 * a:
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / (a + b)
+
+
+def _reference_e(k):
+    a, b = 1.0, math.sqrt(1.0 - k * k)
+    c_sum, power = 0.5 * k * k, 0.5
+    for _ in range(40):
+        if a - b <= 2e-16 * a:
+            break
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        power *= 2.0
+        c_sum += power * c * c
+    return math.pi / (a + b) * (1.0 - c_sum)
+
+
+class TestSharedAgm:
+    def test_bit_identical_to_separate_loops(self):
+        import random
+
+        rng = random.Random(3)
+        moduli = [0.0, 1e-300, 1e-8, 0.5, MODULUS_INV_SQRT2, MODULUS_SIN75, 0.999999, 1.0 - 2**-53]
+        moduli += [rng.random() for _ in range(2000)]
+        for k in moduli:
+            assert complete_k(k) == _reference_k(k), k
+            assert complete_e(k) == _reference_e(k), k
+
+
 class TestIncompleteF:
     def test_zero_modulus_is_identity(self):
         for phi in (0.0, 0.3, 1.0, math.pi / 2):
