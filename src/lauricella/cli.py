@@ -160,6 +160,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             xs = _parse_complex_list(args.xs)
             if args.function == "f1" and (len(bs) != 2 or len(xs) != 2):
                 raise ValueError("f1 needs exactly two b parameters and two arguments")
+            if len(bs) != len(xs):
+                raise ValueError(f"fd needs as many b parameters as arguments, got {len(bs)} and {len(xs)}")
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2

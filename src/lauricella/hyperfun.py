@@ -341,9 +341,9 @@ def _euler_integrand(
 
     The splits 1/x of the cut arguments cut [0, 1] into panels, and each panel
     gets its own closure with every factor's form fixed in advance (see
-    `_real_panel`).  The distance evaluator either is the one panel's
-    closure or dispatches on the node's panel midpoint: u itself may have
-    rounded onto a shared boundary, the midpoint never does.
+    `_real_panel`).  The spec's evaluator, g(u, d_lo, d_hi), either is the
+    one panel's closure or dispatches on the node's panel midpoint: u itself
+    may have rounded onto a shared boundary, the midpoint never does.
     """
     from .quadrature import IntegrandSpec
 
@@ -411,9 +411,9 @@ def _euler_integrand(
             return table[bisect_right(boundaries, u + 0.5 * (d_hi - d_lo))](u, d_lo, d_hi)
 
     return IntegrandSpec(
+        evaluator=g,
         interior_singularities=splits,
         endpoint_exponents=(max(am1.real, -0.999), max(cam1.real, -0.999)),
-        distance_evaluator=g,
     )
 
 

@@ -19,16 +19,12 @@ sizes, it integrates them once more at a tolerance tightened by that ratio
 before it raises.  Every test is relative: an integral of 1e-120 is accepted
 on the same terms as one of 1.
 
-Endpoint accuracy: plain evaluators f(x) lose the distance to a nonzero
-endpoint to rounding once it falls below ~1e-16, so the nodes nearer than
-that are skipped.  The band between the end and the nearest sample taken, at
-distance d, is charged to the error estimate as d |f(d)| / (1 + beta), the
-integral of |f(d)| (s/d)**beta over it, with beta the declared exponent at
-lo and hi and -1/2 at an interior singularity.  A smooth integrand pays about
-1e-15 of itself there, while (b-x)**beta behaviour caps the achievable
-accuracy near 1e-8.  Integrands that need the full 1e-11 at such an end
-receive the node's distance to both panel endpoints, computed in the
-t-domain to full relative precision, via ``IntegrandSpec.distance_evaluator``.
+Endpoint accuracy: the integrand receives, with each node x, the node's
+distances to both panel ends, computed in the t-domain to full relative
+precision.  Near a nonzero end x itself loses that distance to rounding
+once it falls below ~1e-16, and the nodes nearer than that round onto the
+end; an integrand singular there must take its singular factors from the
+distances, which is what lets (b-x)**beta behaviour reach the full 1e-11.
 
 Truncation: each side of a panel (the nodes towards lo and those towards hi)
 keeps a reach, the furthest |t| at which a term met the tail floor.  The
@@ -46,7 +42,8 @@ sum proves every sample in it finite.  When the sum is not finite, the level
 is re-evaluated to name the first non-finite sample in the
 :class:`QuadratureError`; when every sample is finite, the integral has left
 the float range and that is the error raised.  An integrand that raises
-``OverflowError`` gives a :class:`QuadratureError` too.
+``OverflowError`` or ``ZeroDivisionError`` gives a :class:`QuadratureError`
+too.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Optional, Sequence
 
 from .core import QuadratureError
@@ -75,47 +72,41 @@ _SEMI_INF_U_FLOOR = 1e-40  # mapped semi-infinite integrands are cut below this
 # distances raised to the integrand's powers and the product each add a few eps
 _ROUNDING = 8.0 * sys.float_info.epsilon
 
+# f(x, d_lo, d_hi): the integrand at x, given x's distances to the panel ends
+_Integrand = Callable[[float, float, float], complex]
+
 
 @dataclass(frozen=True)
 class IntegrandSpec:
     """One integrand plus the singularity structure the rule must respect.
 
-    evaluator               plain f(x) -> complex
+    evaluator               f(x, d_lo, d_hi) -> complex, where d_lo and d_hi
+                            are x's distances to the current panel's ends at
+                            full relative precision; near a singular end,
+                            compute the singular factors from them
     interior_singularities  strictly increasing points inside the interval
                             carrying integrable algebraic singularities
     endpoint_exponents      algebraic orders at (lo, hi); each > -1
-    distance_evaluator      f(x, dist_lo, dist_hi) -> complex where the
-                            distances are to the current panel's endpoints
-                            at full relative precision; wins over `evaluator`
-
-    A spec needs at least one of the two evaluators.
+    distance_evaluator      init-only alias for `evaluator`; reads None
     """
 
-    evaluator: Optional[Callable[[float], complex]] = None
+    evaluator: Optional[_Integrand] = None
     interior_singularities: tuple[float, ...] = ()
     endpoint_exponents: tuple[float, float] = (0.0, 0.0)
-    distance_evaluator: Optional[Callable[[float, float, float], complex]] = None
+    distance_evaluator: InitVar[Optional[_Integrand]] = None
 
-    def __post_init__(self) -> None:
-        if self.evaluator is None and self.distance_evaluator is None:
-            raise ValueError("an integrand needs an evaluator or a distance_evaluator")
+    def __post_init__(self, distance_evaluator: Optional[_Integrand]) -> None:
+        if distance_evaluator is not None:
+            if self.evaluator is not None:
+                raise ValueError("give evaluator or its alias distance_evaluator, not both")
+            object.__setattr__(self, "evaluator", distance_evaluator)
+        if self.evaluator is None:
+            raise ValueError("an integrand needs an evaluator")
         pts = self.interior_singularities
         if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
             raise ValueError("interior singularities must be strictly increasing")
         if min(self.endpoint_exponents) <= -1.0:
             raise ValueError("endpoint exponents must exceed -1 (integrability)")
-
-    def _distance_form(self) -> tuple[Callable[[float, float, float], complex], bool]:
-        """(three-arg form, whether nodes colliding with an endpoint are usable).
-
-        With a distance evaluator the singular behaviour is computed from the
-        exact distances, so a node whose coordinate rounds onto the endpoint
-        is still fine; a plain evaluator would blow up there instead.
-        """
-        if self.distance_evaluator is not None:
-            return self.distance_evaluator, True
-        f = self.evaluator
-        return (lambda x, _dlo, _dhi: f(x)), False
 
 
 @dataclass(frozen=True)
@@ -170,48 +161,29 @@ def _nodes(level: int) -> tuple[list[_Node], list[_Node]]:
 
 
 def _sweep(
-    g: Callable[[float, float, float], complex],
+    g: _Integrand,
     nodes: list[_Node],
     end: float,
-    lo: float,
-    hi: float,
+    span: float,
     total: complex,
     reach: float,
     margin: float,
     floor: float,
-    collision_ok: bool,
     terms: Optional[list[tuple[float, complex]]] = None,
-) -> tuple[complex, float, int, Optional[tuple[float, float]]]:
+) -> tuple[complex, float, int]:
     """Add weight*g over one side's nodes, out to |t| = reach + margin, to `total`.
 
     A term at or above `floor` past the reach moves the reach out to its |t|.
-    Returns (total, reach, evaluations, nearest).  The evaluated nodes are
-    exactly those with |t| <= reach + margin, up to the first that collides
-    with its end, for the returned reach.  `nearest` is None when no node
-    collided, else (d, d |g|) at the last node evaluated, at distance d from
-    the end, or (inf, inf) when there is none.  `terms`, when given, collects
-    (|t|, term) for every evaluated node.
+    Returns (total, reach, evaluations).  The evaluated nodes are exactly
+    those with |t| <= reach + margin for the returned reach.  `terms`, when
+    given, collects (|t|, term) for every evaluated node.
     """
-    span = hi - lo
     evaluations = 0
-    nearest = None
     limit = reach + margin
     for t, offset, sigma_lo, sigma_hi, weight in nodes:
         if t > limit:
             break
-        x = end + span * offset
-        if not collision_ok and not lo < x < hi:
-            # The coordinate rounded onto the end, where a plain evaluator
-            # cannot be trusted (a distance evaluator still gets exact
-            # distances), and every later node rounds onto it too.  The nodes
-            # before this one were all evaluated; `term` is the last one's.
-            nearest = (math.inf, math.inf)
-            if evaluations:
-                _t, offset, _sigma_lo, _sigma_hi, weight = nodes[evaluations - 1]
-                d = span * abs(offset)
-                nearest = (d, d * abs(term) / weight)
-            break
-        term = weight * g(x, span * sigma_lo, span * sigma_hi)
+        term = weight * g(end + span * offset, span * sigma_lo, span * sigma_hi)
         evaluations += 1
         total += term
         if terms is not None:
@@ -219,41 +191,32 @@ def _sweep(
         if t > reach and abs(term) >= floor:
             reach = t
             limit = t + margin
-    return total, reach, evaluations, nearest
+    return total, reach, evaluations
 
 
 def _first_nonfinite(
-    g: Callable[[float, float, float], complex],
+    g: _Integrand,
     sides: Sequence[tuple[list[_Node], float, float]],
-    lo: float,
-    hi: float,
-    collision_ok: bool,
+    span: float,
 ) -> Optional[float]:
     """Re-evaluate a level's nodes, (nodes, end, limit) per side, for its first non-finite sample."""
-    span = hi - lo
     for nodes, end, limit in sides:
         for t, offset, sigma_lo, sigma_hi, _weight in nodes:
             if t > limit:
                 break
             x = end + span * offset
-            if collision_ok or lo < x < hi:
-                if not cmath.isfinite(g(x, span * sigma_lo, span * sigma_hi)):
-                    return x
+            if not cmath.isfinite(g(x, span * sigma_lo, span * sigma_hi)):
+                return x
     return None
 
 
 def _integrate_panel(
-    g: Callable[[float, float, float], complex],
+    g: _Integrand,
     lo: float,
     hi: float,
     tol: float,
-    collision_ok: bool,
-) -> tuple[complex, float, int, float, float]:
-    """(value, error estimate, evaluations, band at lo, band at hi).
-
-    A band is d |g(d)| at the sample nearest its end, at distance d, over
-    every level, when nodes nearer than that collided with the end; else 0.
-    """
+) -> tuple[complex, float, int]:
+    """(value, error estimate, evaluations)."""
     span = hi - lo
     evaluations = 0
     level_sum = 0.0 + 0.0j      # sum of w*g over all nodes seen so far
@@ -261,7 +224,6 @@ def _integrate_panel(
     prev_diff = 0.0             # |I_{L-1} - I_{L-2}|; 0 until there is one
     rounding = 0.0
     err = math.inf
-    nearest_lo = nearest_hi = None   # (d, d |g(d)|) as `_sweep` reports them
     reach_lo = reach_hi = math.inf   # level 0 evaluates every node
     first_lo: list[tuple[float, complex]] = []   # level 0's (|t|, term) per side
     first_hi: list[tuple[float, complex]] = []
@@ -271,24 +233,16 @@ def _integrate_panel(
         # a term below the floor moves the value by under 1e-3*tol of itself
         floor = 1e-3 * tol * abs(level_sum)
         towards_lo, towards_hi = _nodes(level)
-        level_sum, reach_lo, n_lo, hit_lo = _sweep(
-            g, towards_lo, lo, lo, hi, level_sum, reach_lo, margin, floor, collision_ok,
-            first_lo if level == 0 else None,
+        level_sum, reach_lo, n_lo = _sweep(
+            g, towards_lo, lo, span, level_sum, reach_lo, margin, floor, first_lo if level == 0 else None
         )
-        level_sum, reach_hi, n_hi, hit_hi = _sweep(
-            g, towards_hi, hi, lo, hi, level_sum, reach_hi, margin, floor, collision_ok,
-            first_hi if level == 0 else None,
+        level_sum, reach_hi, n_hi = _sweep(
+            g, towards_hi, hi, span, level_sum, reach_hi, margin, floor, first_hi if level == 0 else None
         )
         evaluations += n_lo + n_hi
-        if hit_lo and (nearest_lo is None or hit_lo < nearest_lo):
-            nearest_lo = hit_lo
-        if hit_hi and (nearest_hi is None or hit_hi < nearest_hi):
-            nearest_hi = hit_hi
         if not cmath.isfinite(level_sum):
             # a finite sum proves every sample in it finite; only now look
-            x = _first_nonfinite(
-                g, ((towards_lo, lo, reach_lo + margin), (towards_hi, hi, reach_hi + margin)), lo, hi, collision_ok
-            )
+            x = _first_nonfinite(g, ((towards_lo, lo, reach_lo + margin), (towards_hi, hi, reach_hi + margin)), span)
             if x is not None:
                 raise QuadratureError(f"non-finite integrand sample at x = {x}")
             raise QuadratureError(f"integral over [{lo}, {hi}] exceeds the floating-point range")
@@ -308,36 +262,30 @@ def _integrate_panel(
                 break
             prev_diff = diff
         prev_value = value
-    band_lo = nearest_lo[1] if nearest_lo else 0.0
-    band_hi = nearest_hi[1] if nearest_hi else 0.0
-    return value, err, evaluations, band_lo, band_hi
+    return value, err, evaluations
 
 
-def _integrate_panels(
-    spec: IntegrandSpec, points: Sequence[float], panel_tol: float
-) -> tuple[complex, float, float, float, int]:
-    """(sum, summed error estimate, skipped-tail share of it, sum of |panel|, evaluations)."""
-    g, collision_ok = spec._distance_form()
+def _integrate_panels(g: _Integrand, points: Sequence[float], panel_tol: float) -> tuple[complex, float, float, int]:
+    """(sum, summed error estimate, sum of |panel|, evaluations)."""
     total = 0.0 + 0.0j
-    total_err = size = skipped_tail = 0.0
+    total_err = size = 0.0
     evaluations = 0
-    last = len(points) - 2
-    for i, (a, b) in enumerate(zip(points[:-1], points[1:])):
+    for a, b in zip(points[:-1], points[1:]):
         try:
-            value, err, n, band_lo, band_hi = _integrate_panel(g, a, b, panel_tol, collision_ok)
+            value, err, n = _integrate_panel(g, a, b, panel_tol)
         except OverflowError:
             # raised by the integrand itself, or by abs() of a huge finite sum
             raise QuadratureError(f"integrand on [{a}, {b}] exceeds the floating-point range") from None
+        except ZeroDivisionError:
+            raise QuadratureError(
+                f"integrand on [{a}, {b}] divided by zero: a node's x can round onto a panel end, "
+                "so take the singular factors from the distances d_lo, d_hi"
+            ) from None
         total += value
         total_err += err
         size += abs(value)
         evaluations += n
-        # A plain evaluator cannot see inside the band where the coordinate
-        # rounds onto an endpoint; charge the band's mass, from the nearest
-        # sample and the end's exponent, to the error estimate instead of hiding it.
-        skipped_tail += band_lo / (1.0 + (spec.endpoint_exponents[0] if i == 0 else -0.5))
-        skipped_tail += band_hi / (1.0 + (spec.endpoint_exponents[1] if i == last else -0.5))
-    return total, total_err + skipped_tail, skipped_tail, size, evaluations
+    return total, total_err, size, evaluations
 
 
 def integrate(
@@ -358,15 +306,13 @@ def integrate(
         raise ValueError(f"tol must be >= 1e-13, got {tol}")
     points = [lo, *(p for p in spec.interior_singularities if lo < p < hi), hi]
     panel_tol = tol / (len(points) - 1)
-    total, total_err, skipped_tail, size, evaluations = _integrate_panels(spec, points, panel_tol)
+    total, total_err, size, evaluations = _integrate_panels(spec.evaluator, points, panel_tol)
     if not total_err <= tol * abs(total) and abs(total) < size:
-        total, total_err, skipped_tail, _, n = _integrate_panels(spec, points, panel_tol * abs(total) / size)
+        total, total_err, _, n = _integrate_panels(spec.evaluator, points, panel_tol * abs(total) / size)
         evaluations += n
     if not total_err <= tol * abs(total):   # a nan estimate fails too
-        # name the remedy when the skipped bands alone break the tolerance
-        detail = "; singular-endpoint integrands need a distance_evaluator" if skipped_tail > tol * abs(total) else ""
         raise QuadratureError(
-            f"quadrature did not converge: error estimate {total_err:.3e} > tol {tol:.3e} * |value| {abs(total):.3e}{detail}"
+            f"quadrature did not converge: error estimate {total_err:.3e} > tol {tol:.3e} * |value| {abs(total):.3e}"
         )
     return QuadratureResult(total, total_err, evaluations)
 
@@ -385,7 +331,7 @@ def integrate_semi_infinite(
     """
     if not tol >= 1e-13:   # a nan tol fails too
         raise ValueError(f"tol must be >= 1e-13, got {tol}")
-    g, _ = spec._distance_form()
+    g = spec.evaluator
 
     # Divergence tripwire: three decades of non-decreasing |t*f(t)| mean the
     # tail integral cannot converge.  The probes take the form the mapped
@@ -401,4 +347,4 @@ def integrate_semi_infinite(
         # relative precision for integrands singular at the finite end
         return g(lo + (1.0 - u) / u, d1 / u, math.inf) / (u * u)
 
-    return integrate(IntegrandSpec(endpoint_exponents=(mapped_exponent, 0.0), distance_evaluator=mapped), 0.0, 1.0, tol)
+    return integrate(IntegrandSpec(evaluator=mapped, endpoint_exponents=(mapped_exponent, 0.0)), 0.0, 1.0, tol)

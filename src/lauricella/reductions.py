@@ -73,7 +73,7 @@ def _side_value(side: IntegralSide, ctx: EvalContext) -> complex:
 
 
 def _dist_spec(g, exponents=(0.0, 0.0)) -> IntegrandSpec:
-    return IntegrandSpec(endpoint_exponents=exponents, distance_evaluator=g)
+    return IntegrandSpec(evaluator=g, endpoint_exponents=exponents)
 
 
 def _cbrt(x: float) -> float:

@@ -193,9 +193,8 @@ def _a_family_spec(n: int, a: float, b: float) -> IntegrandSpec:
         return math.pow(t, a - 1.0) * math.pow(dh * tail, -b)
 
     return IntegrandSpec(
-        evaluator=lambda t: g(t, t, 1.0 - t),
         endpoint_exponents=(min(a - 1.0, 0.0), -b),
-        distance_evaluator=g,
+        evaluator=g,
     )
 
 
@@ -208,8 +207,7 @@ def _b_family_spec(n: int, a: float, b: float) -> IntegrandSpec:
         return math.pow(dl, a - 1.0) * math.pow(1.0 + t ** n, -b)
 
     return IntegrandSpec(
-        evaluator=lambda t: g(t, t, math.inf),
-        distance_evaluator=g,
+        evaluator=g,
     )
 
 

@@ -104,6 +104,11 @@ class TestEval:
         want = lauricella_fd(HyperSpec(1.0, (0.5, 0.5), 2.0, (0.2, 0.3)))
         assert capsys.readouterr().out.splitlines()[0] == _format_value(want)
 
+    def test_fd_list_length_mismatch_is_exit_2(self, capsys):
+        code = main(["eval", "fd", "--a", "1", "--bs", "0.5;0.5", "--c", "2", "--xs", "0.2;0.3;0.4"])
+        assert code == 2
+        assert "argument error" in capsys.readouterr().err
+
     def test_complex_b_list(self, capsys):
         code = main(["eval", "f1", "--a", "0.5", "--bs", "0.3,0.1;0.4,-0.2", "--c", "1.5",
                      "--xs", "0.2,0;-0.3,0"])

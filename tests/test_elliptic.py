@@ -124,10 +124,10 @@ class TestAgainstQuadrature:
     @pytest.mark.parametrize("k", [0.1 * j for j in range(1, 10)])
     def test_trig_definitions(self, k):
         spec_k = IntegrandSpec(
-            evaluator=lambda t: 1.0 / math.sqrt(1.0 - (k * math.sin(t)) ** 2)
+            evaluator=lambda t, _d_lo, _d_hi: 1.0 / math.sqrt(1.0 - (k * math.sin(t)) ** 2)
         )
         spec_e = IntegrandSpec(
-            evaluator=lambda t: math.sqrt(1.0 - (k * math.sin(t)) ** 2)
+            evaluator=lambda t, _d_lo, _d_hi: math.sqrt(1.0 - (k * math.sin(t)) ** 2)
         )
         got_k = integrate(spec_k, 0.0, math.pi / 2, 1e-12).value.real
         got_e = integrate(spec_e, 0.0, math.pi / 2, 1e-12).value.real

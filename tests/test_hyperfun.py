@@ -30,7 +30,7 @@ from lauricella import (
     unit_partition_roots,
     verify_all,
 )
-from lauricella import hyperfun
+from lauricella import hyperfun, quadrature, reductions
 from lauricella.core import DEFAULT_SIDE
 from lauricella.reductions import check_all_reductions
 
@@ -747,7 +747,7 @@ class TestEulerIntegrand:
         spec = hyperfun._euler_integrand(a, bs, c, xs, side)
         assert spec.interior_singularities == splits
         want = _reference_integrand(a, bs, c, xs, side, lo, hi, u, d_lo, d_hi)
-        got = spec.distance_evaluator(u, d_lo, d_hi)
+        got = spec.evaluator(u, d_lo, d_hi)
         assert abs(got - want) <= 1e-13 * abs(want), (got, want)
         if real and lo == 0.0:
             assert isinstance(got, float)  # the real path, on a panel with no phase
@@ -823,13 +823,34 @@ def test_euler_evaluation_count_is_pinned(monkeypatch):
     lambda: hyp2f1(1.5, 0.5, 2.5, 5.0),   # integer a - b: no connection formula
 ])
 def test_wrapped_integrate_sees_every_euler_sample(monkeypatch, evaluate):
-    """A wrapper set on `hyperfun.integrate` sees each Euler integral and each sample.
+    """A wrapper set on `hyperfun.integrate` sees each Euler integral and each sample."""
+    integrals, samples, reported = _count_wrapped_samples(monkeypatch, hyperfun, evaluate)
+    assert integrals >= 1
+    assert samples == reported > 0
 
-    The wrapper swaps the spec's evaluators for counting ones with
-    `dataclasses.replace`, as an outside tracer does, so every sample the
-    rule takes must go through them, and their count is the reported one.
+
+@pytest.mark.parametrize("module, record", [
+    (reductions, "jacobi-g2"),     # both sides finite
+    (quadrature, "goursat-dig"),   # both sides semi-infinite: the mapped integrand
+])
+def test_wrapped_integrate_sees_every_reduction_sample(monkeypatch, module, record):
+    """A wrapper on `module.integrate` sees both sides of a reduction record and each sample."""
+    integrals, samples, reported = _count_wrapped_samples(
+        monkeypatch, module, lambda: reductions.check_reduction(record)
+    )
+    assert integrals == 2
+    assert samples == reported > 0
+
+
+def _count_wrapped_samples(monkeypatch, module, evaluate):
+    """(integrals, samples, reported evaluations) of `evaluate` with `module.integrate` wrapped.
+
+    The wrapper swaps the spec's evaluator for a counting one with the very
+    `dataclasses.replace` call of the benchmark tracer (perfbench/tracing.py),
+    so every sample the rule takes must go through it, and their count is the
+    reported one.
     """
-    integrate = hyperfun.integrate
+    integrate = module.integrate
     integrals = samples = reported = 0
 
     def counting(fn):
@@ -842,16 +863,19 @@ def test_wrapped_integrate_sees_every_euler_sample(monkeypatch, evaluate):
     def wrapped(spec, lo, hi, *args):
         nonlocal integrals, reported
         integrals += 1
-        spec = dataclasses.replace(spec, evaluator=counting(spec.evaluator),
-                                   distance_evaluator=counting(spec.distance_evaluator))
+        spec = dataclasses.replace(
+            spec,
+            evaluator=counting(spec.evaluator),
+            distance_evaluator=None if spec.distance_evaluator is None
+            else counting(spec.distance_evaluator),
+        )
         result = integrate(spec, lo, hi, *args)
         reported += result.evaluations
         return result
 
-    monkeypatch.setattr(hyperfun, "integrate", wrapped)
+    monkeypatch.setattr(module, "integrate", wrapped)
     evaluate()
-    assert integrals >= 1
-    assert samples == reported > 0
+    return integrals, samples, reported
 
 
 # ---------------------------------------------------------------------------

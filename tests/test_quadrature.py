@@ -25,18 +25,34 @@ CUBIC_BETA = 1.4021821053254543   # int_0^1 dx/sqrt(1-x^3)
 class TestSpecValidation:
     def test_unordered_singularities_rejected(self):
         with pytest.raises(ValueError):
-            IntegrandSpec(evaluator=lambda x: 1.0, interior_singularities=(0.5, 0.25))
+            IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: 1.0, interior_singularities=(0.5, 0.25))
 
     def test_nonintegrable_exponent_rejected(self):
         with pytest.raises(ValueError):
-            IntegrandSpec(evaluator=lambda x: 1.0, endpoint_exponents=(-1.0, 0.0))
+            IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: 1.0, endpoint_exponents=(-1.0, 0.0))
 
     def test_an_evaluator_is_required(self):
         with pytest.raises(ValueError, match="evaluator"):
             IntegrandSpec(endpoint_exponents=(-0.5, 0.0))
 
+    def test_distance_evaluator_is_an_alias(self):
+        def g(x, d_lo, d_hi):
+            return d_lo ** -0.5 * (1.0 + x)
+
+        spec = IntegrandSpec(evaluator=g, endpoint_exponents=(-0.5, 0.0))
+        alias = IntegrandSpec(distance_evaluator=g, endpoint_exponents=(-0.5, 0.0))
+        assert alias == spec and alias.evaluator is g and alias.distance_evaluator is None
+        assert integrate(alias, 0.0, 1.0, 1e-11) == integrate(spec, 0.0, 1.0, 1e-11)
+
+    def test_evaluator_and_its_alias_together_rejected(self):
+        def g(_x, _d_lo, _d_hi):
+            return 1.0
+
+        with pytest.raises(ValueError, match="not both"):
+            IntegrandSpec(evaluator=g, distance_evaluator=g)
+
     def test_bad_interval_and_tol(self):
-        spec = IntegrandSpec(evaluator=lambda x: 1.0)
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: 1.0)
         with pytest.raises(ValueError):
             integrate(spec, 1.0, 0.0, 1e-11)
         with pytest.raises(ValueError):
@@ -44,7 +60,7 @@ class TestSpecValidation:
 
     def test_nan_tol_rejected_before_any_level(self):
         calls = []
-        spec = IntegrandSpec(evaluator=lambda x: calls.append(x) or 1.0)
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: calls.append(x) or 1.0)
         with pytest.raises(ValueError, match="tol"):
             integrate(spec, 0.0, 1.0, math.nan)
         with pytest.raises(ValueError, match="tol"):
@@ -54,7 +70,7 @@ class TestSpecValidation:
 
 class TestFiniteIntervals:
     def test_inverse_sqrt(self):
-        spec = IntegrandSpec(evaluator=lambda x: x ** -0.5, endpoint_exponents=(-0.5, 0.0))
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: x ** -0.5, endpoint_exponents=(-0.5, 0.0))
         result = integrate(spec, 0.0, 1.0, 1e-12)
         assert abs(result.value - 2.0) < 1e-12
         assert result.error_estimate < 1e-12
@@ -64,9 +80,8 @@ class TestFiniteIntervals:
             return 1.0 / math.sqrt(dh * (1.0 + x + x * x))
 
         spec = IntegrandSpec(
-            evaluator=lambda x: 1.0 / math.sqrt(1.0 - x ** 3),
             endpoint_exponents=(0.0, -0.5),
-            distance_evaluator=g,
+            evaluator=g,
         )
         value = integrate(spec, 0.0, 1.0, 1e-12).value
         assert value == pytest.approx(CUBIC_BETA, rel=1e-12)
@@ -86,51 +101,57 @@ class TestFiniteIntervals:
             return math.pow(u, -0.5) * math.pow(2.0 * d_lo, -0.75) * phase
 
         spec = IntegrandSpec(
-            evaluator=lambda u: g(u, u, 0.5 - u) if u < 0.5 else g(u, u - 0.5, 1.0 - u),
             interior_singularities=(0.5,),
             endpoint_exponents=(-0.5, 0.0),
-            distance_evaluator=g,
+            evaluator=g,
         )
         value = integrate(spec, 0.0, 1.0, 1e-11).value
         want = (1 - 1j) * K12  # twice the catalog value of entry enu5-1
         assert value == pytest.approx(want, rel=1e-11)
 
     def test_nonfinite_sample_raises(self):
-        spec = IntegrandSpec(evaluator=lambda x: math.nan)
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: math.nan)
         with pytest.raises(QuadratureError):
             integrate(spec, 0.0, 1.0, 1e-11)
 
-    def test_plain_evaluator_error_estimate_is_honest(self):
-        # a plain evaluator cannot resolve a singularity at a nonzero
-        # endpoint below ~1e-8; the estimate must say so rather than lie
+    def test_singular_end_needs_the_distances(self):
+        # (1 - x**3)**-0.5 from the distance to x = 1 meets 1e-11 within its
+        # estimate; from x alone the nodes that round onto the end divide by zero
         spec = IntegrandSpec(
-            evaluator=lambda x: (1.0 - x ** 3) ** -0.5, endpoint_exponents=(0.0, -0.5)
+            evaluator=lambda x, _d_lo, d_hi: (d_hi * (1.0 + x + x * x)) ** -0.5, endpoint_exponents=(0.0, -0.5)
         )
-        result = integrate(spec, 0.0, 1.0, 1e-6)
-        assert abs(result.value.real - CUBIC_BETA) <= result.error_estimate
-        with pytest.raises(QuadratureError, match="distance_evaluator"):
-            integrate(spec, 0.0, 1.0, 1e-10)
+        result = integrate(spec, 0.0, 1.0, 1e-11)
+        assert abs(result.value.real - CUBIC_BETA) <= result.error_estimate <= 1e-11 * CUBIC_BETA
+        blind = IntegrandSpec(
+            evaluator=lambda x, _d_lo, _d_hi: (1.0 - x ** 3) ** -0.5, endpoint_exponents=(0.0, -0.5)
+        )
+        with pytest.raises(QuadratureError, match=re.escape("integrand on [0.0, 1.0] divided by zero") + ".*distances d_lo, d_hi"):
+            integrate(blind, 0.0, 1.0, 1e-6)
 
     def test_plain_evaluator_smooth_at_split(self):
         # the nodes rounding onto the split cost a smooth integrand only the
         # band inside its nearest sample, not a fixed fraction of the panel
-        spec = IntegrandSpec(evaluator=lambda x: 1.0 / (1.0 + 25.0 * (x - 0.3) ** 2), interior_singularities=(0.5,))
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: 1.0 / (1.0 + 25.0 * (x - 0.3) ** 2), interior_singularities=(0.5,))
         result = integrate(spec, 0.0, 1.0, 1e-11)
         want = (math.atan(3.5) + math.atan(1.5)) / 5.0
         assert abs(result.value - want) <= result.error_estimate <= 1e-11 * want
 
-    def test_plain_evaluator_singular_split_is_charged(self):
-        spec = IntegrandSpec(evaluator=lambda x: abs(x - 0.5) ** -0.5, interior_singularities=(0.5,))
-        result = integrate(spec, 0.0, 1.0, 1e-7)
-        error = abs(result.value - 2.0 * math.sqrt(2.0))
-        assert error > 1e-9   # the band the rounded coordinates cannot reach
-        assert error <= result.error_estimate
-        with pytest.raises(QuadratureError, match="distance_evaluator"):
-            integrate(spec, 0.0, 1.0, 1e-9)
+    def test_singular_split_needs_the_distances(self):
+        def g(u, d_lo, d_hi):
+            # |u - 1/2| is the distance to the split, at the panel's end nearest it
+            return (d_hi if u + 0.5 * (d_hi - d_lo) < 0.5 else d_lo) ** -0.5
+
+        spec = IntegrandSpec(evaluator=g, interior_singularities=(0.5,))
+        result = integrate(spec, 0.0, 1.0, 1e-11)
+        want = 2.0 * math.sqrt(2.0)
+        assert abs(result.value - want) <= result.error_estimate <= 1e-11 * want
+        blind = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: abs(x - 0.5) ** -0.5, interior_singularities=(0.5,))
+        with pytest.raises(QuadratureError, match=re.escape("integrand on [0.0, 0.5] divided by zero") + ".*distances d_lo, d_hi"):
+            integrate(blind, 0.0, 1.0, 1e-7)
 
     def test_plain_evaluator_fine_at_zero_endpoint(self):
         # the coordinate itself carries full relative precision near zero
-        spec = IntegrandSpec(evaluator=lambda x: x ** -0.75, endpoint_exponents=(-0.75, 0.0))
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: x ** -0.75, endpoint_exponents=(-0.75, 0.0))
         result = integrate(spec, 0.0, 1.0, 1e-12)
         assert abs(result.value.real - 4.0) < 1e-12
 
@@ -142,9 +163,8 @@ class TestTruncation:
     @given(st.floats(-0.95, 4.0, exclude_min=True), st.floats(-0.95, 4.0, exclude_min=True))
     def test_beta_integrals(self, alpha, beta):
         spec = IntegrandSpec(
-            evaluator=lambda u: u ** alpha * (1.0 - u) ** beta,
             endpoint_exponents=(alpha, beta),
-            distance_evaluator=lambda _u, d_lo, d_hi: d_lo ** alpha * d_hi ** beta,
+            evaluator=lambda _u, d_lo, d_hi: d_lo ** alpha * d_hi ** beta,
         )
         want = math.exp(math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0))
         got = integrate(spec, 0.0, 1.0, 1e-11).value
@@ -155,9 +175,8 @@ class TestTruncation:
         # 12 small terms counted across both sides took 163 evaluations, and
         # stopping only once two levels agreed took 109
         spec = IntegrandSpec(
-            evaluator=lambda u: u ** -0.5 * (1.0 - u) ** 4,
             endpoint_exponents=(-0.5, 0.0),
-            distance_evaluator=lambda _u, d_lo, d_hi: d_lo ** -0.5 * d_hi ** 4,
+            evaluator=lambda _u, d_lo, d_hi: d_lo ** -0.5 * d_hi ** 4,
         )
         result = integrate(spec, 0.0, 1.0, 1e-11)
         assert result.value == pytest.approx(256.0 / 315.0, rel=1e-13)
@@ -167,24 +186,24 @@ class TestTruncation:
         # the terms of an integral of 1e-30 are weighed against its own size,
         # so no node that matters is cut
         c = 1e-30
-        value = integrate(IntegrandSpec(evaluator=lambda x: c * math.exp(x)), 0.0, 1.0, 1e-11).value
+        value = integrate(IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: c * math.exp(x)), 0.0, 1.0, 1e-11).value
         assert abs(value / c - (math.e - 1.0)) <= 1e-9
 
     def test_nan_at_one_node_names_it(self):
         seen = []
-        integrate(IntegrandSpec(evaluator=lambda x: seen.append(x) or math.exp(x)), 0.0, 1.0, 1e-11)
+        integrate(IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: seen.append(x) or math.exp(x)), 0.0, 1.0, 1e-11)
         bad = seen[len(seen) // 2]   # a node of a finer level than the first
-        spec = IntegrandSpec(evaluator=lambda x: math.nan if x == bad else math.exp(x))
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: math.nan if x == bad else math.exp(x))
         with pytest.raises(QuadratureError, match=re.escape(f"non-finite integrand sample at x = {bad}")):
             integrate(spec, 0.0, 1.0, 1e-11)
 
     def test_integral_past_float_range_raises(self):
-        spec = IntegrandSpec(evaluator=lambda x: 1e308)
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: 1e308)
         with pytest.raises(QuadratureError, match="exceeds the floating-point range"):
             integrate(spec, 0.0, 1.0, 1e-11)
 
     def test_overflowing_integrand_raises(self):
-        def overflow(_x):
+        def overflow(_x, _d_lo, _d_hi):
             return 2.0 ** 2000.0
 
         with pytest.raises(QuadratureError, match="exceeds the floating-point range"):
@@ -204,7 +223,7 @@ class TestStoppingRule:
         def g(_u, d_lo, d_hi):
             return scale * math.exp(p * (math.log(d_lo) + math.log(d_hi)) - log_beta)
 
-        spec = IntegrandSpec(evaluator=lambda u: g(u, u, 1.0 - u), endpoint_exponents=(p, p), distance_evaluator=g)
+        spec = IntegrandSpec(evaluator=g, endpoint_exponents=(p, p))
         result = integrate(spec, 0.0, 1.0, 1e-11)
         assert abs(result.value - scale) <= 1e-12 * scale
         assert 0.0 < result.error_estimate <= 1e-11 * scale
@@ -220,7 +239,7 @@ class TestStoppingRule:
                 return -1.0 / ((u - 0.25) ** 2 + w * w)
             return (1.0 + delta) / ((u - 0.75) ** 2 + w * w)
 
-        spec = IntegrandSpec(evaluator=lambda u: g(u, u, 0.5 - u), interior_singularities=(0.5,), distance_evaluator=g)
+        spec = IntegrandSpec(evaluator=g, interior_singularities=(0.5,))
         return spec, delta * 2.0 / w * math.atan(0.25 / w)
 
     def test_cancelling_panels_are_integrated_again(self):
@@ -247,9 +266,8 @@ class TestStoppingRule:
         mpmath = pytest.importorskip("mpmath")
         s = 10.0 ** log_scale
         spec = IntegrandSpec(
-            evaluator=lambda u: s * u ** alpha * (1.0 - u) ** beta,
             endpoint_exponents=(alpha, beta),
-            distance_evaluator=lambda _u, d_lo, d_hi: s * d_lo ** alpha * d_hi ** beta,
+            evaluator=lambda _u, d_lo, d_hi: s * d_lo ** alpha * d_hi ** beta,
         )
         try:
             result = integrate(spec, 0.0, 1.0, 1e-11)
@@ -263,12 +281,12 @@ class TestStoppingRule:
 
 class TestSemiInfinite:
     def test_arctangent_tail(self):
-        spec = IntegrandSpec(evaluator=lambda t: 1.0 / (1.0 + t * t))
+        spec = IntegrandSpec(evaluator=lambda t, _d_lo, _d_hi: 1.0 / (1.0 + t * t))
         value = integrate_semi_infinite(spec, 0.0, 1e-11).value
         assert value == pytest.approx(math.pi / 2, rel=1e-11)
 
     def test_quartic_radical(self):
-        spec = IntegrandSpec(evaluator=lambda x: 1.0 / math.sqrt(1.0 + min(x, 1e70) ** 4))
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: 1.0 / math.sqrt(1.0 + min(x, 1e70) ** 4))
         value = integrate_semi_infinite(spec, 0.0, 1e-11).value
         assert value == pytest.approx(K12, rel=1e-10)
         assert value == pytest.approx(complete_k(1 / math.sqrt(2)), rel=1e-10)
@@ -280,20 +298,19 @@ class TestSemiInfinite:
             return 1.0 / math.sqrt(x * dl * (x * x + x + 1.0))
 
         spec = IntegrandSpec(
-            evaluator=lambda x: 1.0 / math.sqrt(x * (x ** 3 - 1.0)),
-            distance_evaluator=g,
+            evaluator=g,
         )
         value = integrate_semi_infinite(spec, 1.0, 1e-10).value
         assert value == pytest.approx(CUBIC_BETA, rel=1e-10)
 
     def test_divergent_tail_detected(self):
-        spec = IntegrandSpec(evaluator=lambda t: 1.0 / (1.0 + t))
+        spec = IntegrandSpec(evaluator=lambda t, _d_lo, _d_hi: 1.0 / (1.0 + t))
         with pytest.raises(QuadratureError):
             integrate_semi_infinite(spec, 0.0, 1e-9)
 
     def test_divergent_distance_form_tail_detected(self):
         # 1/(1 + t - lo) from the distance alone decays only like 1/t
-        spec = IntegrandSpec(distance_evaluator=lambda _t, d_lo, _d_hi: 1.0 / (1.0 + d_lo))
+        spec = IntegrandSpec(evaluator=lambda _t, d_lo, _d_hi: 1.0 / (1.0 + d_lo))
         with pytest.raises(QuadratureError, match="does not decay faster than 1/t"):
             integrate_semi_infinite(spec, 1.0, 1e-9)
 
@@ -301,17 +318,17 @@ class TestSemiInfinite:
 class TestAlgebraicProperties:
     def test_linearity(self):
         rng = random.Random(77)
-        base = IntegrandSpec(evaluator=lambda x: math.sqrt(x) * math.cos(3.0 * x))
+        base = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: math.sqrt(x) * math.cos(3.0 * x))
         tol = 1e-11
         reference = integrate(base, 0.0, 1.0, tol).value
         for _ in range(50):
             c = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            scaled = IntegrandSpec(evaluator=lambda x, c=c: c * math.sqrt(x) * math.cos(3.0 * x))
+            scaled = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi, c=c: c * math.sqrt(x) * math.cos(3.0 * x))
             got = integrate(scaled, 0.0, 1.0, tol).value
             assert abs(got - c * reference) <= 2 * tol * (1.0 + abs(c))
 
     def test_interval_additivity(self):
-        spec = IntegrandSpec(evaluator=lambda x: 1.0 / (1.0 + x * x) + math.sin(x))
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: 1.0 / (1.0 + x * x) + math.sin(x))
         tol = 1e-11
         whole = integrate(spec, 0.0, 2.0, tol).value
         for split in (0.3, 1.0, 1.7):
