@@ -18,6 +18,7 @@ from .elliptic import (
     MODULUS_SERRET_CUBIC,
     MODULUS_SIN15,
     MODULUS_SIN75,
+    MODULUS_SQRT2_MINUS_1,
     complete_e,
     complete_k,
     incomplete_f,
@@ -78,7 +79,7 @@ def _k15() -> float:
 
 
 def _k21() -> float:
-    return complete_k(math.sqrt(2.0) - 1.0)
+    return complete_k(MODULUS_SQRT2_MINUS_1)
 
 
 _GAMMA_THIRD_CUBED = abs(gamma(1.0 / 3.0)) ** 3

@@ -410,11 +410,7 @@ def _euler_integrand(
         def g(u: float, d_lo: float, d_hi: float) -> complex:
             return table[bisect_right(boundaries, u + 0.5 * (d_hi - d_lo))](u, d_lo, d_hi)
 
-    return IntegrandSpec(
-        evaluator=g,
-        interior_singularities=splits,
-        endpoint_exponents=(max(am1.real, -0.999), max(cam1.real, -0.999)),
-    )
+    return IntegrandSpec(evaluator=g, interior_singularities=splits)
 
 
 # A panel's integrand is exp of a sum of exponent * log(magnitude) terms: the

@@ -42,8 +42,9 @@ sum proves every sample in it finite.  When the sum is not finite, the level
 is re-evaluated to name the first non-finite sample in the
 :class:`QuadratureError`; when every sample is finite, the integral has left
 the float range and that is the error raised.  An integrand that raises
-``OverflowError`` or ``ZeroDivisionError`` gives a :class:`QuadratureError`
-too.
+``OverflowError``, ``ZeroDivisionError`` or ``ValueError`` gives a
+:class:`QuadratureError` too; the library's own ``DomainError`` and
+``GammaPoleError`` pass through unchanged.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import sys
 from dataclasses import InitVar, dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import QuadratureError
+from .core import DomainError, GammaPoleError, QuadratureError
 
 __all__ = [
     "IntegrandSpec",
@@ -78,7 +79,7 @@ _Integrand = Callable[[float, float, float], complex]
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """One integrand plus the singularity structure the rule must respect.
+    """One integrand: its evaluator and the points where the rule must split.
 
     evaluator               f(x, d_lo, d_hi) -> complex, where d_lo and d_hi
                             are x's distances to the current panel's ends at
@@ -86,13 +87,14 @@ class IntegrandSpec:
                             compute the singular factors from them
     interior_singularities  strictly increasing points inside the interval
                             carrying integrable algebraic singularities
-    endpoint_exponents      algebraic orders at (lo, hi); each > -1
     distance_evaluator      init-only alias for `evaluator`; reads None
+
+    No singularity order is declared: tanh-sinh integrates an integrable
+    algebraic end singularity without knowing it.
     """
 
     evaluator: Optional[_Integrand] = None
     interior_singularities: tuple[float, ...] = ()
-    endpoint_exponents: tuple[float, float] = (0.0, 0.0)
     distance_evaluator: InitVar[Optional[_Integrand]] = None
 
     def __post_init__(self, distance_evaluator: Optional[_Integrand]) -> None:
@@ -105,8 +107,6 @@ class IntegrandSpec:
         pts = self.interior_singularities
         if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
             raise ValueError("interior singularities must be strictly increasing")
-        if min(self.endpoint_exponents) <= -1.0:
-            raise ValueError("endpoint exponents must exceed -1 (integrability)")
 
 
 @dataclass(frozen=True)
@@ -273,12 +273,16 @@ def _integrate_panels(g: _Integrand, points: Sequence[float], panel_tol: float) 
     for a, b in zip(points[:-1], points[1:]):
         try:
             value, err, n = _integrate_panel(g, a, b, panel_tol)
+        except (DomainError, GammaPoleError):
+            raise
         except OverflowError:
             # raised by the integrand itself, or by abs() of a huge finite sum
             raise QuadratureError(f"integrand on [{a}, {b}] exceeds the floating-point range") from None
-        except ZeroDivisionError:
+        except (ZeroDivisionError, ValueError) as exc:
+            # math.pow(0.0, -0.5) and math.log(0.0) raise ValueError
+            what = "divided by zero" if isinstance(exc, ZeroDivisionError) else f"raised ValueError ({exc})"
             raise QuadratureError(
-                f"integrand on [{a}, {b}] divided by zero: a node's x can round onto a panel end, "
+                f"integrand on [{a}, {b}] {what}: a node's x can round onto a panel end, "
                 "so take the singular factors from the distances d_lo, d_hi"
             ) from None
         total += value
@@ -321,13 +325,12 @@ def integrate_semi_infinite(
     spec: IntegrandSpec,
     lo: float,
     tol: float = 1e-9,
-    mapped_exponent: float = 0.0,
 ) -> QuadratureResult:
     """Integrate over [lo, inf) via the map u = 1/(1 + t - lo).
 
-    The integrand must decay at least algebraically with exponent < -1.
-    ``mapped_exponent`` declares the algebraic order of the transformed
-    integrand at u = 0 (i.e. decay_exponent + 2) when it is singular there.
+    The integrand, called as g(t, t - lo, inf), must decay faster than 1/t.
+    A t**-p tail maps to u**(p - 2) at u = 0, an algebraic end like any
+    other.  The spec's interior singularities are not used.
     """
     if not tol >= 1e-13:   # a nan tol fails too
         raise ValueError(f"tol must be >= 1e-13, got {tol}")
@@ -336,7 +339,13 @@ def integrate_semi_infinite(
     # Divergence tripwire: three decades of non-decreasing |t*f(t)| mean the
     # tail integral cannot converge.  The probes take the form the mapped
     # samples take, distances and all.
-    probes = [abs(complex(g(t, t - lo, math.inf))) * t for t in (lo + 10.0 ** j for j in (2, 3, 4))]
+    ts = (lo + 1e2, lo + 1e3, lo + 1e4)
+    try:
+        probes = [abs(complex(g(t, t - lo, math.inf))) * t for t in ts]
+    except (DomainError, GammaPoleError):
+        raise
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise QuadratureError(f"integrand at the divergence probes t = {ts} raised {exc!r}") from None
     if all(p > 0 for p in probes) and probes[0] <= probes[1] <= probes[2]:
         raise QuadratureError("integrand tail does not decay faster than 1/t")
 
@@ -347,4 +356,4 @@ def integrate_semi_infinite(
         # relative precision for integrands singular at the finite end
         return g(lo + (1.0 - u) / u, d1 / u, math.inf) / (u * u)
 
-    return integrate(IntegrandSpec(evaluator=mapped, endpoint_exponents=(mapped_exponent, 0.0)), 0.0, 1.0, tol)
+    return integrate(IntegrandSpec(evaluator=mapped), 0.0, 1.0, tol)

@@ -46,7 +46,6 @@ class IntegralSide:
     spec: IntegrandSpec
     lo: float
     hi: float                      # math.inf marks a semi-infinite interval
-    mapped_exponent: float = 0.0   # u -> 0 order after the reciprocal map
 
 
 @dataclass(frozen=True)
@@ -68,12 +67,8 @@ def _side_value(side: IntegralSide, ctx: EvalContext) -> complex:
     # tolerance, but never below the finite target, which carries the 1e-13 floor
     if math.isinf(side.hi):
         tol = max(ctx.quad_tol, min(SEMI_QUAD_TOL, ctx.tol / 10.0))
-        return integrate_semi_infinite(side.spec, side.lo, tol, side.mapped_exponent).value
+        return integrate_semi_infinite(side.spec, side.lo, tol).value
     return integrate(side.spec, side.lo, side.hi, ctx.quad_tol).value
-
-
-def _dist_spec(g, exponents=(0.0, 0.0)) -> IntegrandSpec:
-    return IntegrandSpec(evaluator=g, endpoint_exponents=exponents)
 
 
 def _cbrt(x: float) -> float:
@@ -119,8 +114,8 @@ def _jacobi_g2() -> ReductionRecord:
     return ReductionRecord(
         id="jacobi-g2",
         anchor='"changes to elliptic a genus 2" (degree-2 map), at (a, b) = (4, 2)',
-        lhs=IntegralSide(_dist_spec(lhs, exponents=(-0.5, -0.5)), 0.0, 1.0),
-        rhs=IntegralSide(_dist_spec(rhs, exponents=(-0.5, -0.5)), 0.0, 1.0),
+        lhs=IntegralSide(IntegrandSpec(lhs), 0.0, 1.0),
+        rhs=IntegralSide(IntegrandSpec(rhs), 0.0, 1.0),
         rhs_scale=1.0 / math.sqrt((1 - a) * (1 - b)),
         substitution=lambda z: (1 - a) * (1 - b) * z / ((z - a) * (z - b)),
         substitution_points=((0.0, 0.0), (1.0, 1.0)),
@@ -142,10 +137,8 @@ def _hermite_ugu() -> ReductionRecord:
     return ReductionRecord(
         id="hermite-ugu",
         anchor='"founded on the first Hermite reduction" (degree-3 map), at (a, b) = (1, 2)',
-        lhs=IntegralSide(_dist_spec(lhs, exponents=(-0.5, 0.0)), z1, math.inf,
-                         mapped_exponent=-0.5),
-        rhs=IntegralSide(_dist_spec(rhs, exponents=(-0.5, 0.0)), -2.0 * z1, math.inf,
-                         mapped_exponent=-0.5),
+        lhs=IntegralSide(IntegrandSpec(lhs), z1, math.inf),
+        rhs=IntegralSide(IntegrandSpec(rhs), -2.0 * z1, math.inf),
         rhs_scale=1.0 / math.sqrt(6.0),
         tolerance=1e-7,
         substitution=lambda z: 2.0 * (z ** 3 - b) / (3.0 * (z * z - a)),
@@ -167,9 +160,8 @@ def _goursat_dig() -> ReductionRecord:
     return ReductionRecord(
         id="goursat-dig",
         anchor='"as starting point to find our next identity" (cubic Goursat map)',
-        lhs=IntegralSide(_dist_spec(lhs, exponents=(-0.5, 0.0)), 1.0, math.inf,
-                         mapped_exponent=0.0),
-        rhs=IntegralSide(_dist_spec(rhs), 1.0, math.inf, mapped_exponent=1.0),
+        lhs=IntegralSide(IntegrandSpec(lhs), 1.0, math.inf),
+        rhs=IntegralSide(IntegrandSpec(rhs), 1.0, math.inf),
         rhs_scale=6.0,
         tolerance=1e-7,
         closed_form=_beta_third,
@@ -188,8 +180,8 @@ def _goursat_gb0() -> ReductionRecord:
     return ReductionRecord(
         id="goursat-gb0",
         anchor='"slight modification of the Goursat reduction"',
-        lhs=IntegralSide(_dist_spec(lhs, exponents=(0.0, -0.5)), 0.0, 1.0),
-        rhs=IntegralSide(_dist_spec(rhs), 0.0, 1.0),
+        lhs=IntegralSide(IntegrandSpec(lhs), 0.0, 1.0),
+        rhs=IntegralSide(IntegrandSpec(rhs), 0.0, 1.0),
         rhs_scale=6.0,
         closed_form=_beta_third,
         substitution=lambda t: 3.0 * t / (t ** 3 + 2.0),
@@ -207,8 +199,8 @@ def _goursat_011b() -> ReductionRecord:
     return ReductionRecord(
         id="goursat-011b",
         anchor='"which can be rewritten as" (complete-cubic Goursat case)',
-        lhs=IntegralSide(_dist_spec(lhs, exponents=(0.0, -0.5)), 0.0, 1.0),
-        rhs=IntegralSide(_dist_spec(rhs), 0.0, 1.0),
+        lhs=IntegralSide(IntegrandSpec(lhs), 0.0, 1.0),
+        rhs=IntegralSide(IntegrandSpec(rhs), 0.0, 1.0),
         closed_form=lambda: 2.0 ** -0.75
         * incomplete_f(math.acos((9.0 - 4.0 * math.sqrt(2.0)) / 7.0), MODULUS_SERRET_CUBIC),
         substitution=lambda t: t * t * (3.0 - t) / (1.0 + t ** 3),
@@ -227,8 +219,8 @@ def _hermite_b0() -> ReductionRecord:
     return ReductionRecord(
         id="hermite-b0",
         anchor="degree-3 Hermite reduction with vanishing constant term, a = 1",
-        lhs=IntegralSide(_dist_spec(lhs, exponents=(-0.5, 0.0)), 0.0, 0.5),
-        rhs=IntegralSide(_dist_spec(rhs, exponents=(-0.5, -0.5)), -1.0, 0.0),
+        lhs=IntegralSide(IntegrandSpec(lhs), 0.0, 0.5),
+        rhs=IntegralSide(IntegrandSpec(rhs), -1.0, 0.0),
         closed_form=lambda: math.sqrt(2.0) * complete_k(MODULUS_INV_SQRT2),
         substitution=lambda z: 4.0 * z ** 3 - 3.0 * z,
         substitution_points=((0.0, 0.0), (0.5, -1.0)),
@@ -253,8 +245,8 @@ def _hermite_full() -> ReductionRecord:
     return ReductionRecord(
         id="hermite-full",
         anchor="degree-3 Hermite reduction with both constants fixed (a = 28/3, b = -48)",
-        lhs=IntegralSide(_dist_spec(lhs, exponents=(-0.5, 0.0)), 1.0, s73),
-        rhs=IntegralSide(_dist_spec(rhs, exponents=(-0.5, -0.5)), -edge, -18.0 / 7.0),
+        lhs=IntegralSide(IntegrandSpec(lhs), 1.0, s73),
+        rhs=IntegralSide(IntegrandSpec(rhs), -edge, -18.0 / 7.0),
         rhs_scale=1.0 / math.sqrt(21.0),
         closed_form=closed,
         substitution=lambda z: (3.0 * z ** 3 - 21.0 * z) / 7.0,
@@ -273,9 +265,7 @@ def _cubic_lhs(y, dl, dh):
     return 1.0 / math.sqrt(dh * (math.sqrt(3.0) - y) * dl)
 
 
-_CUBIC_SIDE = IntegralSide(
-    _dist_spec(_cubic_lhs, exponents=(-0.5, -0.5)), -math.sqrt(3.0), 0.0
-)
+_CUBIC_SIDE = IntegralSide(IntegrandSpec(_cubic_lhs), -math.sqrt(3.0), 0.0)
 
 
 def _g3_map(x: float) -> float:
@@ -297,7 +287,7 @@ def _hermite_g3() -> ReductionRecord:
         id="hermite-g3",
         anchor='"reducing a hyperelliptic integral of genus 3" (degree-6 map), a = 1, b = 0',
         lhs=_CUBIC_SIDE,
-        rhs=IntegralSide(_dist_spec(rhs, exponents=(0.0, -0.5)), _G3_LO, _G3_HI),
+        rhs=IntegralSide(IntegrandSpec(rhs), _G3_LO, _G3_HI),
         closed_form=lambda: (4.0 / 3.0) ** 0.25 * complete_k(MODULUS_INV_SQRT2),
         substitution=_g3_map,
         substitution_points=((_G3_LO, -math.sqrt(3.0)), (_G3_HI, 0.0)),
@@ -326,7 +316,7 @@ def _maier_g4() -> ReductionRecord:
         id="maier-g4",
         anchor='"Restricting ourselves to the integral where the cubic" (degree-10 map)',
         lhs=_CUBIC_SIDE,
-        rhs=IntegralSide(_dist_spec(rhs, exponents=(-0.5, -0.5)), _G4_LO, 84.0),
+        rhs=IntegralSide(IntegrandSpec(rhs), _G4_LO, 84.0),
         closed_form=lambda: (4.0 / 3.0) ** 0.25 * complete_k(MODULUS_INV_SQRT2),
         substitution=_g4_map,
         substitution_points=(
@@ -341,7 +331,7 @@ def _a_side(n: int, a: int) -> IntegralSide:
         poly = sum(x ** j for j in range(n))
         return x ** (a - 1) / math.sqrt(dh * poly)
 
-    return IntegralSide(_dist_spec(g, exponents=(0.0 if a > 1 else min(a - 1, 0), -0.5)), 0.0, 1.0)
+    return IntegralSide(IntegrandSpec(g), 0.0, 1.0)
 
 
 def _b_side(n: int, a: int) -> IntegralSide:
@@ -352,7 +342,7 @@ def _b_side(n: int, a: int) -> IntegralSide:
             return t ** (a - 1 - 0.5 * n)
         return t ** (a - 1) / math.sqrt(1.0 + t ** n)
 
-    return IntegralSide(_dist_spec(g), 0.0, math.inf, mapped_exponent=0.5 * n - a - 1)
+    return IntegralSide(IntegrandSpec(g), 0.0, math.inf)
 
 
 def _legendre_z1(n: int, a: int) -> ReductionRecord:
@@ -434,8 +424,8 @@ def _fd_plan(pref: float, a, bs, c, xs) -> Plan:
     return lambda ctx: pref * lauricella_fd(spec, quad_tol=ctx.quad_tol)
 
 
-def _quad_plan(g, exponents, lo: float, hi: float) -> Plan:
-    side = IntegralSide(_dist_spec(g, exponents=exponents), lo, hi)
+def _quad_plan(g, lo: float, hi: float) -> Plan:
+    side = IntegralSide(IntegrandSpec(g), lo, hi)
     return lambda ctx: _side_value(side, ctx)
 
 
@@ -445,7 +435,7 @@ def _quintic_case(tag: str, a, b, c, y, d, e) -> IdentityRecord:
 
     return IdentityRecord(
         f"rep-quintic[{tag}]", "order-4 representation of the quintic-radical integral",
-        _quad_plan(g, (-0.5, 0.0), c, y),
+        _quad_plan(g, c, y),
         _fd_plan(
             2.0 * math.sqrt((y - c) / ((c - a) * (c - b) * (d - c) * (e - c))),
             0.5, (0.5,) * 4, 1.5,
@@ -463,7 +453,7 @@ def _sextic_case(tag: str, a, b, c, y, m) -> IdentityRecord:
     # the very quadrature cross-check this record performs)
     return IdentityRecord(
         f"rep-sextic[{tag}]", "order-3 representation of the even-sextic-radical integral",
-        _quad_plan(g, (0.0, -0.5), y, b),
+        _quad_plan(g, y, b),
         _fd_plan(
             y ** (m - 1.5) * math.sqrt(delta / ((y * y - a * a) * (c * c - y * y))),
             1.0, (0.75 - 0.5 * m, 0.5, 0.5), 1.5,
@@ -478,7 +468,7 @@ def _quartic_case(tag: str, a, b, c, d, m) -> IdentityRecord:
 
     return IdentityRecord(
         f"rep-quartic[{tag}]", "order-3 representation of the complete quartic-radical integral",
-        _quad_plan(g, (-0.5, -0.5), a, b),
+        _quad_plan(g, a, b),
         _fd_plan(
             math.pi * a ** m / math.sqrt((c - a) * (d - a)),
             0.5, (-m, 0.5, 0.5), 1.0,

@@ -192,10 +192,7 @@ def _a_family_spec(n: int, a: float, b: float) -> IntegrandSpec:
         tail = sum(t ** j for j in range(n))
         return math.pow(t, a - 1.0) * math.pow(dh * tail, -b)
 
-    return IntegrandSpec(
-        endpoint_exponents=(min(a - 1.0, 0.0), -b),
-        evaluator=g,
-    )
+    return IntegrandSpec(evaluator=g)
 
 
 def _b_family_spec(n: int, a: float, b: float) -> IntegrandSpec:
@@ -206,9 +203,7 @@ def _b_family_spec(n: int, a: float, b: float) -> IntegrandSpec:
             return math.pow(t, a - 1.0 - n * b)
         return math.pow(dl, a - 1.0) * math.pow(1.0 + t ** n, -b)
 
-    return IntegrandSpec(
-        evaluator=g,
-    )
+    return IntegrandSpec(evaluator=g)
 
 
 def run_eulerian_closed_forms() -> int:
@@ -226,10 +221,7 @@ def run_eulerian_closed_forms() -> int:
                 assert abs(quad - closed) <= 1e-10 * abs(closed), (n, a, b, quad, closed)
                 checked += 1
                 if n * b > a:
-                    quad = integrate_semi_infinite(
-                        _b_family_spec(n, a, b), 0.0, 1e-11,
-                        mapped_exponent=min(n * b - a - 1.0, 0.0),
-                    ).value
+                    quad = integrate_semi_infinite(_b_family_spec(n, a, b), 0.0, 1e-11).value
                     closed = eulerian_b(n, a, b)
                     assert abs(quad - closed) <= 1e-10 * abs(closed), (n, a, b, quad, closed)
                     checked += 1

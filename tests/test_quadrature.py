@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lauricella import (
+    DomainError,
     IntegrandSpec,
     QuadratureError,
     complete_k,
@@ -27,20 +28,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: 1.0, interior_singularities=(0.5, 0.25))
 
-    def test_nonintegrable_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: 1.0, endpoint_exponents=(-1.0, 0.0))
-
     def test_an_evaluator_is_required(self):
         with pytest.raises(ValueError, match="evaluator"):
-            IntegrandSpec(endpoint_exponents=(-0.5, 0.0))
+            IntegrandSpec()
 
     def test_distance_evaluator_is_an_alias(self):
         def g(x, d_lo, d_hi):
             return d_lo ** -0.5 * (1.0 + x)
 
-        spec = IntegrandSpec(evaluator=g, endpoint_exponents=(-0.5, 0.0))
-        alias = IntegrandSpec(distance_evaluator=g, endpoint_exponents=(-0.5, 0.0))
+        spec = IntegrandSpec(evaluator=g)
+        alias = IntegrandSpec(distance_evaluator=g)
         assert alias == spec and alias.evaluator is g and alias.distance_evaluator is None
         assert integrate(alias, 0.0, 1.0, 1e-11) == integrate(spec, 0.0, 1.0, 1e-11)
 
@@ -70,7 +67,7 @@ class TestSpecValidation:
 
 class TestFiniteIntervals:
     def test_inverse_sqrt(self):
-        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: x ** -0.5, endpoint_exponents=(-0.5, 0.0))
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: x ** -0.5)
         result = integrate(spec, 0.0, 1.0, 1e-12)
         assert abs(result.value - 2.0) < 1e-12
         assert result.error_estimate < 1e-12
@@ -79,10 +76,7 @@ class TestFiniteIntervals:
         def g(x, _dl, dh):
             return 1.0 / math.sqrt(dh * (1.0 + x + x * x))
 
-        spec = IntegrandSpec(
-            endpoint_exponents=(0.0, -0.5),
-            evaluator=g,
-        )
+        spec = IntegrandSpec(evaluator=g)
         value = integrate(spec, 0.0, 1.0, 1e-12).value
         assert value == pytest.approx(CUBIC_BETA, rel=1e-12)
         closed = gamma(1 / 3) * gamma(0.5) / (3 * gamma(5 / 6))
@@ -102,7 +96,6 @@ class TestFiniteIntervals:
 
         spec = IntegrandSpec(
             interior_singularities=(0.5,),
-            endpoint_exponents=(-0.5, 0.0),
             evaluator=g,
         )
         value = integrate(spec, 0.0, 1.0, 1e-11).value
@@ -117,14 +110,10 @@ class TestFiniteIntervals:
     def test_singular_end_needs_the_distances(self):
         # (1 - x**3)**-0.5 from the distance to x = 1 meets 1e-11 within its
         # estimate; from x alone the nodes that round onto the end divide by zero
-        spec = IntegrandSpec(
-            evaluator=lambda x, _d_lo, d_hi: (d_hi * (1.0 + x + x * x)) ** -0.5, endpoint_exponents=(0.0, -0.5)
-        )
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, d_hi: (d_hi * (1.0 + x + x * x)) ** -0.5)
         result = integrate(spec, 0.0, 1.0, 1e-11)
         assert abs(result.value.real - CUBIC_BETA) <= result.error_estimate <= 1e-11 * CUBIC_BETA
-        blind = IntegrandSpec(
-            evaluator=lambda x, _d_lo, _d_hi: (1.0 - x ** 3) ** -0.5, endpoint_exponents=(0.0, -0.5)
-        )
+        blind = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: (1.0 - x ** 3) ** -0.5)
         with pytest.raises(QuadratureError, match=re.escape("integrand on [0.0, 1.0] divided by zero") + ".*distances d_lo, d_hi"):
             integrate(blind, 0.0, 1.0, 1e-6)
 
@@ -149,9 +138,31 @@ class TestFiniteIntervals:
         with pytest.raises(QuadratureError, match=re.escape("integrand on [0.0, 0.5] divided by zero") + ".*distances d_lo, d_hi"):
             integrate(blind, 0.0, 1.0, 1e-7)
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            lambda x, _d_lo, _d_hi: math.pow(1 - x, -0.5),   # integral 2
+            lambda x, _d_lo, _d_hi: math.log(1 - x),         # integral -1
+        ],
+        ids=["pow", "log"],
+    )
+    def test_value_error_from_the_integrand_raises(self, g):
+        # math.pow(0.0, -0.5) and math.log(0.0) raise ValueError at a node whose x rounds onto 1
+        with pytest.raises(QuadratureError, match=re.escape("integrand on [0.0, 1.0] raised ValueError") + ".*distances d_lo, d_hi"):
+            integrate(IntegrandSpec(evaluator=g), 0.0, 1.0, 1e-11)
+
+    def test_library_errors_from_the_integrand_pass_through(self):
+        def g(_x, _d_lo, _d_hi):
+            raise DomainError("outside the domain")
+
+        with pytest.raises(DomainError, match="outside the domain"):
+            integrate(IntegrandSpec(evaluator=g), 0.0, 1.0, 1e-11)
+        with pytest.raises(DomainError, match="outside the domain"):
+            integrate_semi_infinite(IntegrandSpec(evaluator=g), 0.0, 1e-9)
+
     def test_plain_evaluator_fine_at_zero_endpoint(self):
         # the coordinate itself carries full relative precision near zero
-        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: x ** -0.75, endpoint_exponents=(-0.75, 0.0))
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: x ** -0.75)
         result = integrate(spec, 0.0, 1.0, 1e-12)
         assert abs(result.value.real - 4.0) < 1e-12
 
@@ -162,10 +173,7 @@ class TestTruncation:
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(st.floats(-0.95, 4.0, exclude_min=True), st.floats(-0.95, 4.0, exclude_min=True))
     def test_beta_integrals(self, alpha, beta):
-        spec = IntegrandSpec(
-            endpoint_exponents=(alpha, beta),
-            evaluator=lambda _u, d_lo, d_hi: d_lo ** alpha * d_hi ** beta,
-        )
+        spec = IntegrandSpec(evaluator=lambda _u, d_lo, d_hi: d_lo ** alpha * d_hi ** beta)
         want = math.exp(math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0))
         got = integrate(spec, 0.0, 1.0, 1e-11).value
         assert abs(got - want) <= 1e-10 * want
@@ -174,10 +182,7 @@ class TestTruncation:
         # u**-0.5 (1-u)**4 decays slowly towards 0 and fast towards 1; a run of
         # 12 small terms counted across both sides took 163 evaluations, and
         # stopping only once two levels agreed took 109
-        spec = IntegrandSpec(
-            endpoint_exponents=(-0.5, 0.0),
-            evaluator=lambda _u, d_lo, d_hi: d_lo ** -0.5 * d_hi ** 4,
-        )
+        spec = IntegrandSpec(evaluator=lambda _u, d_lo, d_hi: d_lo ** -0.5 * d_hi ** 4)
         result = integrate(spec, 0.0, 1.0, 1e-11)
         assert result.value == pytest.approx(256.0 / 315.0, rel=1e-13)
         assert result.evaluations == 59
@@ -223,7 +228,7 @@ class TestStoppingRule:
         def g(_u, d_lo, d_hi):
             return scale * math.exp(p * (math.log(d_lo) + math.log(d_hi)) - log_beta)
 
-        spec = IntegrandSpec(evaluator=g, endpoint_exponents=(p, p))
+        spec = IntegrandSpec(evaluator=g)
         result = integrate(spec, 0.0, 1.0, 1e-11)
         assert abs(result.value - scale) <= 1e-12 * scale
         assert 0.0 < result.error_estimate <= 1e-11 * scale
@@ -265,10 +270,7 @@ class TestStoppingRule:
     def test_error_estimate_bounds_scaled_beta_integrals(self, alpha, beta, log_scale):
         mpmath = pytest.importorskip("mpmath")
         s = 10.0 ** log_scale
-        spec = IntegrandSpec(
-            endpoint_exponents=(alpha, beta),
-            evaluator=lambda _u, d_lo, d_hi: s * d_lo ** alpha * d_hi ** beta,
-        )
+        spec = IntegrandSpec(evaluator=lambda _u, d_lo, d_hi: s * d_lo ** alpha * d_hi ** beta)
         try:
             result = integrate(spec, 0.0, 1.0, 1e-11)
         except QuadratureError:
@@ -297,9 +299,7 @@ class TestSemiInfinite:
                 return 0.0
             return 1.0 / math.sqrt(x * dl * (x * x + x + 1.0))
 
-        spec = IntegrandSpec(
-            evaluator=g,
-        )
+        spec = IntegrandSpec(evaluator=g)
         value = integrate_semi_infinite(spec, 1.0, 1e-10).value
         assert value == pytest.approx(CUBIC_BETA, rel=1e-10)
 
@@ -313,6 +313,12 @@ class TestSemiInfinite:
         spec = IntegrandSpec(evaluator=lambda _t, d_lo, _d_hi: 1.0 / (1.0 + d_lo))
         with pytest.raises(QuadratureError, match="does not decay faster than 1/t"):
             integrate_semi_infinite(spec, 1.0, 1e-9)
+
+    def test_divergence_probe_at_a_pole_raises(self):
+        # the first probe, t = 100, lands on the pole of 1/(t - 100)**2
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: 1 / (x - 100.0) ** 2)
+        with pytest.raises(QuadratureError, match=re.escape("divergence probes t = (100.0, 1000.0, 10000.0) raised ZeroDivisionError")):
+            integrate_semi_infinite(spec, 0.0, 1e-9)
 
 
 class TestAlgebraicProperties:
