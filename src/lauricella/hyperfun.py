@@ -1,7 +1,8 @@
 """Gauss 2F1, Appell F1 and Lauricella FD evaluation.
 
-Inside the polydisk (|x| <= 0.9) the functions are summed as power series,
-at whichever of x and its Pfaff image x/(x-1) is nearer 0:
+Inside the polydisk (|x| <= 0.9) the functions are summed as power series
+(`_gauss_sum`, `_appell_series`), at whichever of x and its Pfaff image
+x/(x-1) is nearer 0:
 
     2F1(a, b; c | x) = (1-x)**(-a) 2F1(a, c-b; c | x/(x-1)),
     F1(a; b1, b2; c | x1, x2) = (1-x1)**(-b1) (1-x2)**(-b2)
@@ -12,45 +13,18 @@ arguments and inside the radius.  For one argument it is nearer 0 exactly
 when |x - 1| > 1: x = -0.9 sums at 0.47 instead of at -0.9, and x = -3 sums
 at 3/4 instead of going to the integral.
 
-Appell F1 is summed by total degree n = m1 + m2: its n-th term is
-(a)_n/(c)_n p_n, with p_n the coefficient of t**n in
-(1 - x1 t)**(-b1) (1 - x2 t)**(-b2), which a three-term recurrence gives in
-one step per term, so N terms cost O(N) instead of the double series' O(N**2).
-
-Both series kernels pick one of three arithmetic paths from their inputs:
-float arithmetic when every parameter and argument is real (for 2F1 in the
-complex sum's order, so with the same bits at about half the cost per term);
-float coefficient ratios applied to a complex term when only the arguments
-(for F1 also the b's) are complex; complex arithmetic when a or c (for 2F1
-also b) is complex.  Each keeps the running 1 + sum|term|, an upper bound on
-|sum|, and computes |sum| only for a term already below 1e-16 of it, so the
-stopping test costs one modulus less per term and never stops a sum earlier.
-
-Off the disk, 2F1 first tries its two-term connection formula at whichever of
-1/x and 1/(1-x) is nearer 0 (DLMF 15.8.2, 15.8.3): two Gauss sums, up to seven
-log-Gammas and a power, kept only when its error bound meets the quadrature
-tolerance.  So `hyp2f1` runs, in order: the series at x/(x-1), the series at
-x, the connection formula, the integral in either parameter order.
-Everywhere else the functions are computed from the one-dimensional integral
-representation
+Off the disk, 2F1 first tries its two-term connection formula
+(`_hyp2f1_connection`).  Everywhere else the functions are computed from the
+one-dimensional integral representation (`_euler_integrand`)
 
     Gamma(c)/(Gamma(a) Gamma(c-a)) * int_0^1 u**(a-1) (1-u)**(c-a-1)
         * prod_k (1 - x_k u)**(-b_k) du,
 
-which also defines the continuation onto the cut [1, inf) as a side limit:
-``side=BELOW`` is the limit from Im x < 0, in which case the vanishing factor
-(1 - x u) crosses the negative axis from above (argument +pi).
-
-The integrand is specialized per panel when an evaluation starts.  The splits
-1/x of the arguments on the cut bound the panels, and on each panel every
-factor's form is fixed in advance: the exact distance for the factors singular
-at the panel's ends, 1 - x u or x u - 1 for the other cut factors, and one
-constant phase for the cut factors past their split.  A sample is then one sum
-of logarithms and one exponential.  It stays in real arithmetic when a, c and
-every b are real and every argument off the cut is either real and below 1 or
-one of an exact conjugate pair with equal b, which is folded into the single
-real factor |1 - x u|**(-2b).  Otherwise only the remaining factors go through
-cmath.log, and one cmath.exp finishes the sample.
+which also defines the continuation onto the cut [1, inf) as a side limit.
+An argument with Re x > 1 and |Im x| <= 1e-13 (1 + Re x) is taken as on the
+cut, and one rule picks its side in 2F1, F1 and FD alike (`_below`): an
+argument off the real axis takes the limit from its own side, and ``side``
+picks it only for Im x == 0.
 """
 
 from __future__ import annotations
@@ -161,6 +135,17 @@ def _check_c(c: complex) -> None:
 
 def _on_cut(x: complex) -> bool:
     return x.real > 1.0 and abs(x.imag) <= 1e-13 * (1.0 + x.real)
+
+
+def _below(x: complex, side: BranchSide) -> bool:
+    """Whether x on the cut takes the limit from Im x < 0: its own side, or ``side`` at Im x == 0."""
+    return x.imag < 0.0 if x.imag else side is BranchSide.BELOW
+
+
+def _check_quad_tol(quad_tol: float) -> None:
+    """Reject a quadrature tolerance outside [1e-13, inf), the floor of `quadrature.integrate`."""
+    if not 1e-13 <= quad_tol < math.inf:   # a nan fails too
+        raise DomainError(f"quad_tol must be a finite number >= 1e-13, got {quad_tol}")
 
 
 def _near_one(x: complex) -> bool:
@@ -315,18 +300,20 @@ def _real_if_real(z: complex) -> complex | float:
     return z.real if z.imag == 0.0 else z
 
 
-def _cut_groups(bs: Sequence[complex], xs: Sequence[complex]) -> dict[float, tuple[float, complex]]:
-    """Split 1/x -> (Re x, summed b) of the arguments on the cut.
+def _cut_groups(bs: Sequence[complex], xs: Sequence[complex], side: BranchSide) -> dict[float, tuple[float, complex, complex]]:
+    """Split 1/x -> (Re x, summed b, turn) of the arguments on the cut.
 
     Arguments sharing a split make one factor (1 - x u)**(-b1 - b2 - ...),
-    so every split bounds exactly one pair of panels.
+    so every split bounds exactly one pair of panels.  Past the split, 1 - x u
+    has argument +pi for x taken from below (`_below`) and -pi from above, so
+    the factor's phase is exp(i pi turn), turn = sum b_above - sum b_below.
     """
-    groups: dict[float, tuple[float, complex]] = {}
+    groups: dict[float, tuple[float, complex, complex]] = {}
     for b, x in zip(bs, xs):
         if _on_cut(x):
             split = 1.0 / x.real
-            x_re, b_sum = groups.get(split, (x.real, 0j))
-            groups[split] = (x_re, b_sum + b)
+            x_re, b_sum, turn = groups.get(split, (x.real, 0j, 0j))
+            groups[split] = (x_re, b_sum + b, turn - b if _below(x, side) else turn + b)
     return groups
 
 
@@ -339,20 +326,21 @@ def _euler_integrand(
 ) -> IntegrandSpec:
     """Distance-form integrand u**(a-1) (1-u)**(c-a-1) prod (1-x u)**(-b).
 
-    The splits 1/x of the cut arguments cut [0, 1] into panels, and each panel
+    The splits 1/x of the cut arguments cut [0, 1] into panels.  Each panel
     gets its own closure with every factor's form fixed in advance (see
-    `_real_panel`).  The spec's evaluator, g(u, d_lo, d_hi), either is the
-    one panel's closure or dispatches on the node's panel midpoint: u itself
+    `_real_panel`): the exact distances at the panel's ends, 1 - x u or
+    x u - 1 for the other cut factors, and one constant phase past their
+    splits.  The spec's evaluator, g(u, d_lo, d_hi), either is the one
+    panel's closure or dispatches on the node's panel midpoint: u itself
     may have rounded onto a shared boundary, the midpoint never does.
     """
     from .quadrature import IntegrandSpec
 
     am1 = _real_if_real(a - 1.0)
     cam1 = _real_if_real(c - a - 1.0)
-    arg = math.pi if side is BranchSide.BELOW else -math.pi  # arg of 1-xu past the split
 
-    # (split, Re x, -b), one entry per split
-    cut = [(split, x_re, _real_if_real(-b)) for split, (x_re, b) in _cut_groups(bs, xs).items()]
+    # (split, Re x, -b, turn), one entry per split
+    cut = [(split, x_re, _real_if_real(-b), turn) for split, (x_re, b, turn) in _cut_groups(bs, xs, side).items()]
     lines: list[tuple[complex | float, float, float]] = []  # (-b, 1, -x): real x < 1
     pairs: list[tuple[float, float, float]] = []           # (-b, Re x, Im x): x with its conjugate
     unpaired: list[tuple[complex, complex]] = []           # (b, x)
@@ -368,7 +356,7 @@ def _euler_integrand(
         else:
             unpaired.append((b, x))
     rest = [(_real_if_real(-b), x) for b, x in unpaired]
-    splits = tuple(sorted(s for s, _, _ in cut))
+    splits = tuple(sorted(s for s, *_ in cut))
     boundaries = (0.0,) + splits + (1.0,)
 
     pieces = []
@@ -380,8 +368,8 @@ def _euler_integrand(
             panel_lines.append((am1, 0.0, 1.0))      # u
         if hi < 1.0:
             panel_lines.append((cam1, 1.0, -1.0))    # 1 - u
-        past = 0.0                                   # sum of -b over factors past their split
-        for s, x_re, e in cut:
+        past = 0.0                                   # sum of the turns of the factors past their split
+        for s, x_re, e, turn in cut:
             if s == lo:
                 e_lo, k_lo = e, x_re
             elif s == hi:
@@ -391,10 +379,10 @@ def _euler_integrand(
             else:
                 panel_lines.append((e, -1.0, x_re))  # x u - 1
             if s <= lo:
-                past += e
+                past += turn
         panel_lines = [term for term in panel_lines if term[0] != 0.0]
         exponents = (e_lo, e_hi, *(term[0] for term in panel_lines))
-        phase_log = 1j * arg * past if past != 0.0 else 0.0
+        phase_log = 1j * math.pi * past if past != 0.0 else 0.0
         if not rest and all(isinstance(e, float) for e in exponents):
             phase = cmath.exp(phase_log) if phase_log else 1.0
             g = _real_panel(e_lo, k_lo, e_hi, k_hi, panel_lines, pairs, phase)
@@ -489,7 +477,7 @@ def _euler_fd(
     """
     if not (c.real > a.real > 0.0):
         return None
-    if any(b.real >= 1.0 for _, b in _cut_groups(bs, xs).values()):
+    if any(b.real >= 1.0 for _, b, _ in _cut_groups(bs, xs, side).values()):
         return None
     spec = _euler_integrand(a, bs, c, xs, side)
     result = integrate(spec, 0.0, 1.0, quad_tol)
@@ -530,13 +518,14 @@ def hyp2f1(
     4. the integral representation, in whichever of the parameter orders
        (a,b) / (b,a) is admissible.
 
-    ``side`` picks the limit onto the cut [1, inf) for real x > 1.  An x with
-    Re x > 1 and 0 < |Im x| <= 1e-13 (1 + Re x) is taken as on the cut too,
-    with the limit from its own side, whatever ``side`` says.
+    An x with Re x > 1 and |Im x| <= 1e-13 (1 + Re x) is taken as on the
+    cut [1, inf): ``side`` picks the limit for real x, and any other x takes
+    the limit from its own side.  ``quad_tol`` must lie in [1e-13, inf).
     """
     a, b, c, x = complex(a), complex(b), complex(c), complex(x)
     _check_finite(a, b, c, x)
     _check_c(c)
+    _check_quad_tol(quad_tol)
     if _near_one(x):
         raise DomainError("argument 1 is on the divergence boundary")
     y = x / (x - 1.0)
@@ -546,9 +535,6 @@ def hyp2f1(
         return principal_pow(1.0 - x, -a) * hyp2f1_series(a, c - b, c, y)
     if r_x <= _SERIES_RADIUS:
         return hyp2f1_series(a, b, c, x)
-    if x.imag and _on_cut(x):
-        # x is taken as on the cut, and its own side of it gives the limit
-        side = BranchSide.ABOVE if x.imag > 0.0 else BranchSide.BELOW
     value = _hyp2f1_connection(a, b, c, x, side, quad_tol)
     if value is None:
         value = _euler_fd(a, [b], c, [x], side, quad_tol)
@@ -614,7 +600,7 @@ def _hyp2f1_connection(
     if _on_cut(x):
         # on the cut |1/x| < |1/(1-x)|, so p = -x: the limit x - i0 (BELOW)
         # is p + i0, at arg +pi, the opposite side as in _pfaff_args
-        log_p = complex(math.log(x.real), math.pi if side is BranchSide.BELOW else -math.pi)
+        log_p = complex(math.log(x.real), math.pi if _below(x, side) else -math.pi)
     else:
         log_p = cmath.log(p)
     value, error = 0j, 0.0
@@ -665,8 +651,8 @@ def appell_f1(
     most 0.9.  Outside, the Euler integral gives the value where it applies
     (see `_euler_fd`), and a `DomainError` is raised elsewhere.
 
-    An argument with Re x > 1 and |Im x| <= 1e-13 (1 + Re x) is taken as on
-    the cut [1, inf), and ``side`` gives its limit whatever the sign of Im x.
+    Arguments on the cut [1, inf) take their side as in `hyp2f1`, each on
+    its own.  ``quad_tol`` must lie in [1e-13, inf).
     """
     a, b1, b2, c = complex(a), complex(b1), complex(b2), complex(c)
     x1, x2 = complex(x1), complex(x2)
@@ -685,10 +671,7 @@ def lauricella_fd(
     For n >= 2 it takes the route of `appell_f1`: the series when n = 2 and
     the arguments or their Pfaff images lie inside the polydisk, else the
     Euler integral where it applies.  For n >= 3 there is no series yet.
-
-    For n >= 2 an argument with Re x > 1 and |Im x| <= 1e-13 (1 + Re x) is
-    taken as on the cut [1, inf), and ``side`` gives its limit whatever the
-    sign of Im x; n = 1 follows `hyp2f1`, where a nonzero Im x picks the side.
+    Arguments on the cut take their side as in `hyp2f1`, each on its own.
     """
     if spec.order == 1:
         return hyp2f1(spec.a, spec.bs[0], spec.c, spec.xs[0], side, quad_tol)
@@ -704,6 +687,7 @@ def _fd(
     quad_tol: float,
 ) -> complex:
     """FD of order n >= 2 at coerced and checked parameters."""
+    _check_quad_tol(quad_tol)
     if any(_near_one(x) for x in xs):
         raise DomainError("argument 1 is on the divergence boundary")
     if len(xs) == 2:
@@ -737,8 +721,8 @@ def _pfaff_args(
     for b, x in zip(bs, xs):
         if _near_one(x):
             raise DomainError("Pfaff transformation has a pole at argument 1")
-        base_side = side.flipped() if _on_cut(x) else side
-        pref *= principal_pow(1.0 - x, -b, base_side)
+        # 1 - x is on the power's cut only for real x > 1, where x - i0 gives 1 - x + i0
+        pref *= principal_pow(1.0 - x, -b, side.flipped())
         new_xs.append(x / (x - 1.0))
     return pref, tuple(new_xs)
 
@@ -777,8 +761,7 @@ def fd_order_reduce(spec: HyperSpec, side: BranchSide = DEFAULT_SIDE) -> tuple[H
     x_n = spec.xs[-1]
     if _near_one(x_n):
         raise DomainError("cannot eliminate an argument equal to 1")
-    base_side = side.flipped() if _on_cut(x_n) else side
-    pref = principal_pow(1.0 - x_n, -spec.a, base_side)
+    pref = principal_pow(1.0 - x_n, -spec.a, side.flipped())  # as in _pfaff_args
     new_xs = tuple((x - x_n) / (1.0 - x_n) for x in spec.xs[:-1])
     return HyperSpec(spec.a, spec.bs[:-1], spec.c, new_xs), pref
 

@@ -52,6 +52,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import InitVar, dataclass
 from typing import Callable, Optional, Sequence
 
@@ -328,20 +329,23 @@ def integrate_semi_infinite(
 ) -> QuadratureResult:
     """Integrate over [lo, inf) via the map u = 1/(1 + t - lo).
 
-    The integrand, called as g(t, t - lo, inf), must decay faster than 1/t.
-    A t**-p tail maps to u**(p - 2) at u = 0, an algebraic end like any
-    other.  The spec's interior singularities are not used.
+    The integrand must decay faster than 1/t.  A t**-p tail maps to
+    u**(p - 2) at u = 0, an algebraic end like any other.  Each interior
+    singularity t > lo maps to the panel end 1/(1 + t - lo), and the
+    integrand is called as g(t, d_lo, d_hi) with t's distances to the ends
+    of its panel in t, d_hi = inf on the last one.
     """
     if not tol >= 1e-13:   # a nan tol fails too
         raise ValueError(f"tol must be >= 1e-13, got {tol}")
     g = spec.evaluator
+    end = max((lo, *spec.interior_singularities))   # where the last panel starts
 
     # Divergence tripwire: three decades of non-decreasing |t*f(t)| mean the
     # tail integral cannot converge.  The probes take the form the mapped
     # samples take, distances and all.
-    ts = (lo + 1e2, lo + 1e3, lo + 1e4)
+    ts = (end + 1e2, end + 1e3, end + 1e4)
     try:
-        probes = [abs(complex(g(t, t - lo, math.inf))) * t for t in ts]
+        probes = [abs(complex(g(t, t - end, math.inf))) * t for t in ts]
     except (DomainError, GammaPoleError):
         raise
     except (OverflowError, ZeroDivisionError, ValueError) as exc:
@@ -349,11 +353,23 @@ def integrate_semi_infinite(
     if all(p > 0 for p in probes) and probes[0] <= probes[1] <= probes[2]:
         raise QuadratureError("integrand tail does not decay faster than 1/t")
 
-    def mapped(u: float, _d0: float, d1: float) -> complex:
-        if u < _SEMI_INF_U_FLOOR:
-            return 0.0 + 0.0j
-        # d1 is the exact distance to u = 1, so t - lo = d1/u keeps full
-        # relative precision for integrands singular at the finite end
-        return g(lo + (1.0 - u) / u, d1 / u, math.inf) / (u * u)
+    u_ends = (0.0, *sorted({1.0 / (1.0 + t - lo) for t in spec.interior_singularities if t > lo}), 1.0)
+    if end == lo:
+        # one panel needs no lookup per sample, which costs a catalog pass about 5 %
+        def mapped(u: float, d0: float, d1: float) -> complex:
+            if u < _SEMI_INF_U_FLOOR:
+                return 0.0 + 0.0j
+            # d1 is the exact distance to u = 1, so t - lo = d1/u keeps full
+            # relative precision for integrands singular at the finite end
+            return g(lo + (1.0 - u) / u, d1 / u, math.inf) / (u * u)
+    else:
+        def mapped(u: float, d0: float, d1: float) -> complex:
+            if u < _SEMI_INF_U_FLOOR:
+                return 0.0 + 0.0j
+            # the panel's midpoint picks it, as u may have rounded onto an end;
+            # a u-distance d to the end u_k is d/(u u_k) in t
+            k = bisect_right(u_ends, u + 0.5 * (d1 - d0))
+            u_lo, u_hi = u_ends[k - 1], u_ends[k]
+            return g(lo + (1.0 - u) / u, d1 / (u * u_hi), d0 / (u * u_lo) if u_lo else math.inf) / (u * u)
 
-    return integrate(IntegrandSpec(evaluator=mapped), 0.0, 1.0, tol)
+    return integrate(IntegrandSpec(mapped, u_ends[1:-1]), 0.0, 1.0, tol)

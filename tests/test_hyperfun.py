@@ -1153,3 +1153,85 @@ class TestNonFiniteInputs:
     def test_hyper_spec(self):
         with pytest.raises(DomainError, match="finite"):
             lauricella_fd(HyperSpec(0.5, (0.2,) * 3, 1.5, (math.inf, 3, -3)))
+
+
+class TestQuadTol:
+    # a series point and an Euler (or connection-formula) point of each evaluator
+    EVALUATIONS = {
+        "2f1-series": lambda tol: hyp2f1(0.5, 0.5, 1.5, 0.3, quad_tol=tol),
+        "2f1-off-disk": lambda tol: hyp2f1(0.5, 0.5, 1.5, 1.05, quad_tol=tol),
+        "f1-series": lambda tol: appell_f1(0.5, 0.3, 0.4, 1.5, 0.2, -0.3, quad_tol=tol),
+        "f1-euler": lambda tol: appell_f1(0.5, 0.3, 0.4, 1.5, 2, -3, quad_tol=tol),
+        "fd-order-2-series": lambda tol: lauricella_fd(HyperSpec(0.5, (0.3, 0.4), 1.5, (0.2, -0.3)), quad_tol=tol),
+        "fd-order-3-euler": lambda tol: lauricella_fd(HyperSpec(0.6, (0.3, 0.2, 0.4), 1.7, (2, 4, 0.3)), quad_tol=tol),
+    }
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 1e-14, -1.0])
+    @pytest.mark.parametrize("where", list(EVALUATIONS))
+    def test_out_of_range_is_domain_error(self, where, tol):
+        # quad_tol=inf once accepted any connection-formula or quadrature value
+        with pytest.raises(DomainError, match="quad_tol"):
+            self.EVALUATIONS[where](tol)
+
+    @pytest.mark.parametrize("where", list(EVALUATIONS))
+    def test_floor_is_accepted(self, where):
+        assert cmath.isfinite(self.EVALUATIONS[where](1e-13))
+
+
+def _mp_euler(a, bs, c, xs):
+    """FD from its Euler integral at mpmath precision, split at the cut points 1/Re x."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        xs = [mpmath.mpc(x) for x in xs]
+
+        def f(u):
+            return u ** (a - 1) * (1 - u) ** (c - a - 1) * mpmath.fprod((1 - x * u) ** (-b) for b, x in zip(bs, xs))
+
+        points = sorted({mpmath.mpf(0), mpmath.mpf(1), *(1 / x.real for x in xs if x.real > 1)})
+        prefactor = mpmath.gamma(c) / (mpmath.gamma(a) * mpmath.gamma(c - a))
+        return complex(prefactor * mpmath.quad(f, points))
+
+
+class TestOneSideRule:
+    """An argument in the cut band off the real axis takes its own side; ``side`` only real ones."""
+
+    @pytest.mark.parametrize("side", list(BranchSide))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_f1_band_argument_follows_its_imaginary_part(self, side, sign):
+        want = _mp_euler(0.5, (0.3, 0.4), 1.5, (complex(2, sign * 1e-25), -3))
+        assert (want.imag > 0) == (sign > 0)
+        got = appell_f1(0.5, 0.3, 0.4, 1.5, complex(2, sign * 1e-20), -3, side)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("side", list(BranchSide))
+    def test_fd_opposite_sides_at_one_split(self, side):
+        # 2 + i0 and 2 - i0 share the split 1/2; each b turns the phase its own way
+        xs = (complex(2, 1e-20), complex(2, -1e-20), -1)
+        want = _mp_euler(0.6, (0.3, 0.2, 0.4), 1.7, (complex(2, 1e-25), complex(2, -1e-25), -1))
+        assert want == pytest.approx(1.565245631597 + 0.171696396098j, rel=1e-11)
+        got = lauricella_fd(HyperSpec(0.6, (0.3, 0.2, 0.4), 1.7, xs), side)
+        assert abs(got - want) <= 1e-11 * abs(want)
+
+    @pytest.mark.parametrize("side", list(BranchSide))
+    def test_fd_opposite_sides_at_two_splits(self, side):
+        xs = (complex(2, 1e-20), complex(4, -1e-20), 0.3)
+        want = _mp_euler(0.6, (0.3, 0.2, 0.4), 1.7, (complex(2, 1e-25), complex(4, -1e-25), 0.3))
+        got = lauricella_fd(HyperSpec(0.6, (0.3, 0.2, 0.4), 1.7, xs), side)
+        assert abs(got - want) <= 1e-11 * abs(want)
+
+    @pytest.mark.parametrize("side", list(BranchSide))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_pfaff_prefactor_of_a_band_argument(self, side, sign):
+        x1 = complex(3, sign * 1e-20)
+        _, pref = pfaff_f1(0.5, 0.3, 0.4, 1.5, x1, -3, side)
+        # (1 - x1)**(-0.3) with 1 - x1 = -2 -+ i0 at arg -+pi, times 4**(-0.4)
+        want = cmath.exp(-0.3 * complex(math.log(2.0), -sign * math.pi)) * 4.0 ** -0.4
+        assert pref == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("side", list(BranchSide))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_order_reduction_prefactor_of_a_band_argument(self, side, sign):
+        spec = HyperSpec(0.5, (0.3, 0.4), 0.7, (0.2, complex(3, sign * 1e-20)))
+        _, pref = fd_order_reduce(spec, side)
+        want = cmath.exp(-0.5 * complex(math.log(2.0), -sign * math.pi))
+        assert pref == pytest.approx(want, rel=1e-14)

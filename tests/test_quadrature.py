@@ -303,6 +303,33 @@ class TestSemiInfinite:
         value = integrate_semi_infinite(spec, 1.0, 1e-10).value
         assert value == pytest.approx(CUBIC_BETA, rel=1e-10)
 
+    def test_interior_singularity_is_a_panel_end(self):
+        # |t - 5|**(-1/2) / (1 + t**2) from the distance to the split at 5;
+        # the split was once dropped, for a value 1.4 off with an estimate of 4e-15
+        def g(t, d_lo, d_hi):
+            return (d_hi if d_hi < math.inf else d_lo) ** -0.5 / (1 + t * t)
+
+        result = integrate_semi_infinite(IntegrandSpec(g, (5.0,)), 0.0, 1e-9)
+        want = 0.916672197546389   # mpmath.quad over [0, 5, inf]
+        assert abs(result.value - want) <= 1e-9 * want
+        assert abs(result.value - want) <= max(result.error_estimate, 1e-15 * want)
+
+    def test_integrand_gets_its_t_panel_distances(self):
+        seen = []
+
+        def g(t, d_lo, d_hi):
+            seen.append((t, d_lo, d_hi))
+            return math.exp(-t)
+
+        splits = (-1.0, 2.0, 3.0)   # the split below lo is not used
+        value = integrate_semi_infinite(IntegrandSpec(g, splits), 1.0, 1e-11).value
+        assert value == pytest.approx(math.exp(-1.0), rel=1e-11)
+        for t, d_lo, d_hi in seen:
+            lo, hi = (1.0, 2.0) if t < 2.0 else (2.0, 3.0) if t < 3.0 else (3.0, math.inf)
+            if abs(t - lo) > 1e-9 and abs(t - hi) > 1e-9:   # off the ends, t itself is exact enough
+                assert d_lo == pytest.approx(t - lo, rel=1e-12)
+                assert d_hi == pytest.approx(hi - t, rel=1e-12)
+
     def test_divergent_tail_detected(self):
         spec = IntegrandSpec(evaluator=lambda t, _d_lo, _d_hi: 1.0 / (1.0 + t))
         with pytest.raises(QuadratureError):
