@@ -15,7 +15,7 @@ import sys
 from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 from .core import BranchSide, DomainError, GammaPoleError, QuadratureError
-from .hyperfun import DEFAULT_QUAD_TOL, HyperSpec, appell_f1, hyp2f1, lauricella_fd
+from .hyperfun import DEFAULT_QUAD_TOL, HyperSpec, _check_quad_tol, appell_f1, hyp2f1, lauricella_fd
 
 if TYPE_CHECKING:
     from .identities import EvalReport
@@ -48,10 +48,12 @@ def _float_or_nan(text: str) -> float:
 
 
 def _quad_tol(text: str) -> float:
-    """--quad-tol: a finite tolerance no tighter than the quadrature's 1e-13 floor."""
+    """--quad-tol: the tolerances the evaluators accept."""
     value = _float_or_nan(text)
-    if not 1e-13 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 1e-13, got {text!r}")
+    try:
+        _check_quad_tol(value)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
     return value
 
 

@@ -45,6 +45,10 @@ class BranchSide(Enum):
 # imaginary part, and frozen here.
 DEFAULT_SIDE = BranchSide.BELOW
 
+# The tightest quadrature tolerance accepted anywhere: tanh-sinh's rounding
+# floor, 8 eps times the sum of |terms|, sits just below it.
+MIN_QUAD_TOL = 1e-13
+
 
 class GammaPoleError(ValueError):
     """Gamma evaluated at (or within 1e-12 of) a non-positive integer."""

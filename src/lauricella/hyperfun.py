@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Sequence
 from .core import (
     BranchSide,
     DEFAULT_SIDE,
+    MIN_QUAD_TOL,
     DomainError,
     GammaPoleError,
     _check_finite,
@@ -143,9 +144,9 @@ def _below(x: complex, side: BranchSide) -> bool:
 
 
 def _check_quad_tol(quad_tol: float) -> None:
-    """Reject a quadrature tolerance outside [1e-13, inf), the floor of `quadrature.integrate`."""
-    if not 1e-13 <= quad_tol < math.inf:   # a nan fails too
-        raise DomainError(f"quad_tol must be a finite number >= 1e-13, got {quad_tol}")
+    """Reject a quadrature tolerance outside [MIN_QUAD_TOL, inf)."""
+    if not MIN_QUAD_TOL <= quad_tol < math.inf:   # a nan fails too
+        raise DomainError(f"quad_tol must be a finite number >= {MIN_QUAD_TOL}, got {quad_tol}")
 
 
 def _near_one(x: complex) -> bool:

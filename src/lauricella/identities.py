@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .core import MIN_QUAD_TOL
 from .hyperfun import DEFAULT_QUAD_TOL
 
 __all__ = [
@@ -103,7 +104,7 @@ def _verify_record(
     quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> EvalReport:
     tol = record.tolerance if tol_override is None else tol_override
-    ctx = EvalContext(min(quad_tol, max(tol / 10.0, 1e-13)), tol)
+    ctx = EvalContext(min(quad_tol, max(tol / 10.0, MIN_QUAD_TOL)), tol)
     start = time.perf_counter()
 
     lhs = complex(record.lhs(ctx))

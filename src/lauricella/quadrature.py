@@ -52,11 +52,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import InitVar, dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import DomainError, GammaPoleError, QuadratureError
+from .core import MIN_QUAD_TOL, DomainError, GammaPoleError, QuadratureError
 
 __all__ = [
     "IntegrandSpec",
@@ -293,6 +292,18 @@ def _integrate_panels(g: _Integrand, points: Sequence[float], panel_tol: float) 
     return total, total_err, size, evaluations
 
 
+def _check_tol(tol: float) -> None:
+    if not tol >= MIN_QUAD_TOL:   # a nan tol fails too
+        raise ValueError(f"tol must be >= {MIN_QUAD_TOL}, got {tol}")
+
+
+def _check_converged(value: complex, err: float, tol: float) -> None:
+    if not err <= tol * abs(value):   # a nan estimate fails too
+        raise QuadratureError(
+            f"quadrature did not converge: error estimate {err:.3e} > tol {tol:.3e} * |value| {abs(value):.3e}"
+        )
+
+
 def integrate(
     spec: IntegrandSpec,
     lo: float,
@@ -307,18 +318,14 @@ def integrate(
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if not tol >= 1e-13:   # a nan tol fails too
-        raise ValueError(f"tol must be >= 1e-13, got {tol}")
+    _check_tol(tol)
     points = [lo, *(p for p in spec.interior_singularities if lo < p < hi), hi]
     panel_tol = tol / (len(points) - 1)
     total, total_err, size, evaluations = _integrate_panels(spec.evaluator, points, panel_tol)
     if not total_err <= tol * abs(total) and abs(total) < size:
         total, total_err, _, n = _integrate_panels(spec.evaluator, points, panel_tol * abs(total) / size)
         evaluations += n
-    if not total_err <= tol * abs(total):   # a nan estimate fails too
-        raise QuadratureError(
-            f"quadrature did not converge: error estimate {total_err:.3e} > tol {tol:.3e} * |value| {abs(total):.3e}"
-        )
+    _check_converged(total, total_err, tol)
     return QuadratureResult(total, total_err, evaluations)
 
 
@@ -327,18 +334,18 @@ def integrate_semi_infinite(
     lo: float,
     tol: float = 1e-9,
 ) -> QuadratureResult:
-    """Integrate over [lo, inf) via the map u = 1/(1 + t - lo).
+    """Integrate over [lo, inf): the tail past the last split via u = 1/(1 + t - end).
 
     The integrand must decay faster than 1/t.  A t**-p tail maps to
-    u**(p - 2) at u = 0, an algebraic end like any other.  Each interior
-    singularity t > lo maps to the panel end 1/(1 + t - lo), and the
-    integrand is called as g(t, d_lo, d_hi) with t's distances to the ends
-    of its panel in t, d_hi = inf on the last one.
+    u**(p - 2) at u = 0, an algebraic end like any other.  With interior
+    singularities t > lo, [lo, end] up to the last one goes to `integrate`,
+    which splits at the others, and the two estimates together must meet
+    tol.  The integrand is called as g(t, d_lo, d_hi) with t's distances to
+    the ends of its panel, d_hi = inf on the tail.
     """
-    if not tol >= 1e-13:   # a nan tol fails too
-        raise ValueError(f"tol must be >= 1e-13, got {tol}")
+    _check_tol(tol)
     g = spec.evaluator
-    end = max((lo, *spec.interior_singularities))   # where the last panel starts
+    end = max((lo, *spec.interior_singularities))   # where the tail starts
 
     # Divergence tripwire: three decades of non-decreasing |t*f(t)| mean the
     # tail integral cannot converge.  The probes take the form the mapped
@@ -353,23 +360,18 @@ def integrate_semi_infinite(
     if all(p > 0 for p in probes) and probes[0] <= probes[1] <= probes[2]:
         raise QuadratureError("integrand tail does not decay faster than 1/t")
 
-    u_ends = (0.0, *sorted({1.0 / (1.0 + t - lo) for t in spec.interior_singularities if t > lo}), 1.0)
-    if end == lo:
-        # one panel needs no lookup per sample, which costs a catalog pass about 5 %
-        def mapped(u: float, d0: float, d1: float) -> complex:
-            if u < _SEMI_INF_U_FLOOR:
-                return 0.0 + 0.0j
-            # d1 is the exact distance to u = 1, so t - lo = d1/u keeps full
-            # relative precision for integrands singular at the finite end
-            return g(lo + (1.0 - u) / u, d1 / u, math.inf) / (u * u)
-    else:
-        def mapped(u: float, d0: float, d1: float) -> complex:
-            if u < _SEMI_INF_U_FLOOR:
-                return 0.0 + 0.0j
-            # the panel's midpoint picks it, as u may have rounded onto an end;
-            # a u-distance d to the end u_k is d/(u u_k) in t
-            k = bisect_right(u_ends, u + 0.5 * (d1 - d0))
-            u_lo, u_hi = u_ends[k - 1], u_ends[k]
-            return g(lo + (1.0 - u) / u, d1 / (u * u_hi), d0 / (u * u_lo) if u_lo else math.inf) / (u * u)
+    def mapped(u: float, _d0: float, d1: float) -> complex:
+        if u < _SEMI_INF_U_FLOOR:
+            return 0.0 + 0.0j
+        # d1 is the exact distance to u = 1, so t - end = d1/u keeps full
+        # relative precision for integrands singular at the finite end
+        return g(end + (1.0 - u) / u, d1 / u, math.inf) / (u * u)
 
-    return integrate(IntegrandSpec(mapped, u_ends[1:-1]), 0.0, 1.0, tol)
+    tail = integrate(IntegrandSpec(evaluator=mapped), 0.0, 1.0, tol)
+    if end == lo:
+        return tail
+    head = integrate(spec, lo, end, tol)
+    value = head.value + tail.value
+    err = head.error_estimate + tail.error_estimate
+    _check_converged(value, err, tol)   # fails where the head and the tail cancel
+    return QuadratureResult(value, err, head.evaluations + tail.evaluations)

@@ -64,7 +64,7 @@ class ReductionRecord:
 
 def _side_value(side: IntegralSide, ctx: EvalContext) -> complex:
     # semi-infinite sides aim at SEMI_QUAD_TOL, or a tenth of a tighter check
-    # tolerance, but never below the finite target, which carries the 1e-13 floor
+    # tolerance, but never below the finite target, which carries the MIN_QUAD_TOL floor
     if math.isinf(side.hi):
         tol = max(ctx.quad_tol, min(SEMI_QUAD_TOL, ctx.tol / 10.0))
         return integrate_semi_infinite(side.spec, side.lo, tol).value

@@ -324,11 +324,20 @@ class TestSemiInfinite:
         splits = (-1.0, 2.0, 3.0)   # the split below lo is not used
         value = integrate_semi_infinite(IntegrandSpec(g, splits), 1.0, 1e-11).value
         assert value == pytest.approx(math.exp(-1.0), rel=1e-11)
+        nearest = math.inf
         for t, d_lo, d_hi in seen:
-            lo, hi = (1.0, 2.0) if t < 2.0 else (2.0, 3.0) if t < 3.0 else (3.0, math.inf)
-            if abs(t - lo) > 1e-9 and abs(t - hi) > 1e-9:   # off the ends, t itself is exact enough
-                assert d_lo == pytest.approx(t - lo, rel=1e-12)
-                assert d_hi == pytest.approx(hi - t, rel=1e-12)
+            # the panel's midpoint picks it, as t may have rounded onto a split
+            mid = t + 0.5 * (d_hi - d_lo)
+            lo, hi = (1.0, 2.0) if mid < 2.0 else (2.0, 3.0) if mid < 3.0 else (3.0, math.inf)
+            # t carries a few ulps of rounding; the distances are to the exact splits
+            assert abs(d_lo - (t - lo)) <= 4 * math.ulp(t), (t, d_lo, lo)
+            if hi < math.inf:
+                assert abs(d_hi - (hi - t)) <= 4 * math.ulp(hi), (t, d_hi, hi)
+            else:
+                assert d_hi == math.inf
+            if 2.0 in (lo, hi):
+                nearest = min(nearest, d_lo if lo == 2.0 else d_hi)
+        assert nearest < 1e-20   # far below the ulp of t, so taken from the distances
 
     def test_divergent_tail_detected(self):
         spec = IntegrandSpec(evaluator=lambda t, _d_lo, _d_hi: 1.0 / (1.0 + t))
