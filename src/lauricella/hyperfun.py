@@ -21,6 +21,12 @@ one-dimensional integral representation (`_euler_integrand`)
         * prod_k (1 - x_k u)**(-b_k) du,
 
 which also defines the continuation onto the cut [1, inf) as a side limit.
+The integral is shaped by its real singular points, one table of them per
+evaluation (`_singular_points`): u = 0 with power a, u = 1 with power c - a,
+and each split 1/x of the arguments on the cut with power 1 - sum b.  It
+converges exactly when every point has Re power > 0, the one test of
+`_euler_fd`, and every panel between the points takes the form of each
+singular factor from the table (`_euler_panels`).
 An argument with Re x > 1 and |Im x| <= 1e-13 (1 + Re x) is taken as on the
 cut, and one rule picks its side in 2F1, F1 and FD alike (`_below`): an
 argument off the real axis takes the limit from its own side, and ``side``
@@ -301,13 +307,22 @@ def _real_if_real(z: complex) -> complex | float:
     return z.real if z.imag == 0.0 else z
 
 
-def _cut_groups(bs: Sequence[complex], xs: Sequence[complex], side: BranchSide) -> dict[float, tuple[float, complex, complex]]:
-    """Split 1/x -> (Re x, summed b, turn) of the arguments on the cut.
+def _singular_points(a: complex, bs: Sequence[complex], c: complex, xs: Sequence[complex], side: BranchSide) -> list[tuple]:
+    """The Euler integrand's real singular points: (position, power, exponent, line form, turn).
 
-    Arguments sharing a split make one factor (1 - x u)**(-b1 - b2 - ...),
-    so every split bounds exactly one pair of panels.  Past the split, 1 - x u
-    has argument +pi for x taken from below (`_below`) and -pi from above, so
-    the factor's phase is exp(i pi turn), turn = sum b_above - sum b_below.
+    Near a point the integrand is (|k1| d)**exponent times a factor regular
+    there, with d the distance to the point and exponent = power - 1:
+
+    * u = 0 has power a and line form -u;
+    * u = 1 has power c - a and line form 1 - u;
+    * each split 1/x of the arguments on the cut has power 1 - sum b and
+      line form 1 - x u: the arguments sharing it make one factor
+      (1 - x u)**(-sum b).  The splits follow in the order of the arguments.
+
+    A line form k0 + k1 u is positive left of its point.  Past a split,
+    1 - x u has argument +pi for x taken from below (`_below`) and -pi from
+    above, so the factor's phase is exp(i pi turn), turn = sum b_above -
+    sum b_below; the ends have turn 0.
     """
     groups: dict[float, tuple[float, complex, complex]] = {}
     for b, x in zip(bs, xs):
@@ -315,33 +330,38 @@ def _cut_groups(bs: Sequence[complex], xs: Sequence[complex], side: BranchSide) 
             split = 1.0 / x.real
             x_re, b_sum, turn = groups.get(split, (x.real, 0j, 0j))
             groups[split] = (x_re, b_sum + b, turn - b if _below(x, side) else turn + b)
-    return groups
+    return [
+        (0.0, a, _real_if_real(a - 1.0), (0.0, -1.0), 0.0),
+        (1.0, c - a, _real_if_real(c - a - 1.0), (1.0, -1.0), 0.0),
+        *((split, 1.0 - b, _real_if_real(-b), (1.0, -x_re), turn) for split, (x_re, b, turn) in groups.items()),
+    ]
 
 
-def _euler_integrand(
-    a: complex,
-    bs: Sequence[complex],
-    c: complex,
-    xs: Sequence[complex],
-    side: BranchSide,
-) -> IntegrandSpec:
-    """Distance-form integrand u**(a-1) (1-u)**(c-a-1) prod (1-x u)**(-b).
+def _divergent(points: list) -> tuple | None:
+    """The first singular point with Re power <= 0, where the Euler integral diverges, or None."""
+    return next((point for point in points if point[1].real <= 0.0), None)
 
-    The splits 1/x of the cut arguments cut [0, 1] into panels.  Each panel
-    gets its own closure with every factor's form fixed in advance (see
-    `_real_panel`): the exact distances at the panel's ends, 1 - x u or
-    x u - 1 for the other cut factors, and one constant phase past their
-    splits.  The spec's evaluator, g(u, d_lo, d_hi), either is the one
-    panel's closure or dispatches on the node's panel midpoint: u itself
-    may have rounded onto a shared boundary, the midpoint never does.
+
+def _euler_integrand(a: complex, bs: Sequence[complex], c: complex, xs: Sequence[complex], side: BranchSide) -> IntegrandSpec:
+    """Distance-form integrand u**(a-1) (1-u)**(c-a-1) prod (1-x u)**(-b); see `_euler_panels`."""
+    return _euler_panels(_singular_points(a, bs, c, xs, side), bs, xs)
+
+
+def _euler_panels(points: list, bs: Sequence[complex], xs: Sequence[complex]) -> IntegrandSpec:
+    """The Euler integrand with the singular points `points` (`_singular_points`).
+
+    The points cut [0, 1] into panels.  Each panel gets its own closure with
+    every factor's form fixed in advance (see `_real_panel`): the distance
+    form at the panel's own two ends, the line form, negated right of its
+    point, at every other singular point, and one constant phase, the turns
+    of the points left of the panel.  The factors of the arguments off the
+    cut are the same on every panel.  The spec's evaluator, g(u, d_lo, d_hi),
+    either is the one panel's closure or dispatches on the node's panel
+    midpoint: u itself may have rounded onto a shared boundary, the midpoint
+    never does.
     """
     from .quadrature import IntegrandSpec
 
-    am1 = _real_if_real(a - 1.0)
-    cam1 = _real_if_real(c - a - 1.0)
-
-    # (split, Re x, -b, turn), one entry per split
-    cut = [(split, x_re, _real_if_real(-b), turn) for split, (x_re, b, turn) in _cut_groups(bs, xs, side).items()]
     lines: list[tuple[complex | float, float, float]] = []  # (-b, 1, -x): real x < 1
     pairs: list[tuple[float, float, float]] = []           # (-b, Re x, Im x): x with its conjugate
     unpaired: list[tuple[complex, complex]] = []           # (b, x)
@@ -357,28 +377,19 @@ def _euler_integrand(
         else:
             unpaired.append((b, x))
     rest = [(_real_if_real(-b), x) for b, x in unpaired]
-    splits = tuple(sorted(s for s, *_ in cut))
-    boundaries = (0.0,) + splits + (1.0,)
+    boundaries = tuple(sorted(s for s, *_ in points))
 
     pieces = []
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        # the factors singular at this panel's ends take the exact distances
-        e_lo, k_lo, e_hi, k_hi = am1, 1.0, cam1, 1.0
         panel_lines = list(lines)
-        if lo > 0.0:
-            panel_lines.append((am1, 0.0, 1.0))      # u
-        if hi < 1.0:
-            panel_lines.append((cam1, 1.0, -1.0))    # 1 - u
-        past = 0.0                                   # sum of the turns of the factors past their split
-        for s, x_re, e, turn in cut:
+        past = 0.0                                   # sum of the turns of the points at or left of lo
+        for s, _, e, (k0, k1), turn in points:
             if s == lo:
-                e_lo, k_lo = e, x_re
+                e_lo, k_lo = e, abs(k1)
             elif s == hi:
-                e_hi, k_hi = e, x_re
-            elif s > hi:
-                panel_lines.append((e, 1.0, -x_re))  # 1 - x u
+                e_hi, k_hi = e, abs(k1)
             else:
-                panel_lines.append((e, -1.0, x_re))  # x u - 1
+                panel_lines.append((e, -k0, -k1) if s < lo else (e, k0, k1))
             if s <= lo:
                 past += turn
         panel_lines = [term for term in panel_lines if term[0] != 0.0]
@@ -399,7 +410,7 @@ def _euler_integrand(
         def g(u: float, d_lo: float, d_hi: float) -> complex:
             return table[bisect_right(boundaries, u + 0.5 * (d_hi - d_lo))](u, d_lo, d_hi)
 
-    return IntegrandSpec(evaluator=g, interior_singularities=splits)
+    return IntegrandSpec(evaluator=g, interior_singularities=boundaries[1:-1])
 
 
 # A panel's integrand is exp of a sum of exponent * log(magnitude) terms: the
@@ -470,17 +481,18 @@ def _euler_fd(
 ) -> complex | None:
     """The Euler integral times its Gamma prefactor, or None where it does not apply.
 
-    It applies when Re c > Re a > 0 and, at each split 1/x of the arguments
-    on the cut, the b's sharing it sum to Re b < 1.  This is the one place
-    that tests it.  A Pfaff transformation cannot make it apply: a -> c - a
-    keeps both Re a > 0 and Re(c - a) > 0, and an argument on the cut maps
-    onto the cut with the same b.
+    It applies when every singular point of the integrand has Re power > 0
+    (`_singular_points`): Re a > 0, Re(c - a) > 0 and, at each split 1/x of
+    the arguments on the cut, Re(1 - sum b) > 0 over the b's sharing it.
+    This is the one place that tests it, on the powers themselves: the
+    exponent a - 1 of a = 1e-20 rounds to -1.  A Pfaff transformation cannot
+    make it apply: a -> c - a swaps the powers at 0 and 1, and an argument
+    on the cut maps onto the cut with the same b.
     """
-    if not (c.real > a.real > 0.0):
+    points = _singular_points(a, bs, c, xs, side)
+    if _divergent(points) is not None:
         return None
-    if any(b.real >= 1.0 for _, b, _ in _cut_groups(bs, xs, side).values()):
-        return None
-    spec = _euler_integrand(a, bs, c, xs, side)
+    spec = _euler_panels(points, bs, xs)
     result = integrate(spec, 0.0, 1.0, quad_tol)
     try:
         prefactor = gamma(c) / (gamma(a) * gamma(c - a))
@@ -702,10 +714,12 @@ def _fd(
             return _appell_series(a, b1, b2, c, x1, x2)
     value = _euler_fd(a, bs, c, xs, side, quad_tol)
     if value is None:
+        position, _, exponent, *_ = _divergent(_singular_points(a, bs, c, xs, side))
         raise DomainError(
             f"no admissible evaluation path for FD(a={a}; bs={tuple(bs)}; c={c} | xs={tuple(xs)}): "
             "the Euler integral needs Re c > Re a > 0 and, at each argument on the cut, "
-            "Re b < 1 summed over the arguments equal to it"
+            "Re b < 1 summed over the arguments equal to it; "
+            f"it diverges first at u = {position!r}, exponent {exponent!r}"
         )
     return value
 

@@ -68,7 +68,7 @@ __all__ = [
 MAX_LEVEL = 12
 _REACH_MARGIN = 0.5        # least |t| past a side's reach that each level evaluates
 _SIGMA_FLOOR = 5e-300      # drop nodes once the near-endpoint distance underflows
-_SEMI_INF_U_FLOOR = 1e-40  # mapped semi-infinite integrands are cut below this
+_SEMI_INF_U_FLOOR = 1e-150  # mapped semi-infinite integrands are cut below this
 # rounding of a weighted sample, relative to its size: the weight, the
 # distances raised to the integrand's powers and the product each add a few eps
 _ROUNDING = 8.0 * sys.float_info.epsilon
@@ -342,6 +342,11 @@ def integrate_semi_infinite(
     which splits at the others, and the two estimates together must meet
     tol.  The integrand is called as g(t, d_lo, d_hi) with t's distances to
     the ends of its panel, d_hi = inf on the tail.
+
+    The mapped integrand h is 0 below u = 1e-150.  The band [0, u1) below
+    the innermost nonzero sample u1 is charged u1 |h(u1)| / (1 + beta), its
+    integral were h a power u**beta there, with beta read from the two
+    innermost nonzero samples; 1 + beta <= 0 raises `QuadratureError`.
     """
     _check_tol(tol)
     g = spec.evaluator
@@ -360,18 +365,31 @@ def integrate_semi_infinite(
     if all(p > 0 for p in probes) and probes[0] <= probes[1] <= probes[2]:
         raise QuadratureError("integrand tail does not decay faster than 1/t")
 
+    inner = [(math.inf, 0.0), (math.inf, 0.0)]   # the two innermost nonzero samples (u, |h(u)|)
+
     def mapped(u: float, _d0: float, d1: float) -> complex:
         if u < _SEMI_INF_U_FLOOR:
             return 0.0 + 0.0j
         # d1 is the exact distance to u = 1, so t - end = d1/u keeps full
         # relative precision for integrands singular at the finite end
-        return g(end + (1.0 - u) / u, d1 / u, math.inf) / (u * u)
+        h = g(end + (1.0 - u) / u, d1 / u, math.inf) / (u * u)
+        if h and u < inner[1][0] and u != inner[0][0]:
+            inner[:] = sorted((inner[0], (u, abs(h))))
+        return h
 
     tail = integrate(IntegrandSpec(evaluator=mapped), 0.0, 1.0, tol)
-    if end == lo:
-        return tail
-    head = integrate(spec, lo, end, tol)
-    value = head.value + tail.value
-    err = head.error_estimate + tail.error_estimate
-    _check_converged(value, err, tol)   # fails where the head and the tail cancel
-    return QuadratureResult(value, err, head.evaluations + tail.evaluations)
+    value, err, evaluations = tail.value, tail.error_estimate, tail.evaluations
+    (u1, h1), (u2, h2) = inner
+    if u2 < math.inf:
+        # the band [0, u1) below the innermost sample, were h = h1 (u/u1)**beta there
+        beta = (math.log(h1) - math.log(h2)) / math.log(u1 / u2)
+        if not 1.0 + beta > 0.0:
+            raise QuadratureError(
+                f"integrand tail does not decay faster than 1/t: its mapped samples go like u**{beta:.3g} at u = {u1:.3g}"
+            )
+        err += u1 * h1 / (1.0 + beta)
+    if end > lo:
+        head = integrate(spec, lo, end, tol)
+        value, err, evaluations = value + head.value, err + head.error_estimate, evaluations + head.evaluations
+    _check_converged(value, err, tol)   # fails where the band's charge is too large, or head and tail cancel
+    return QuadratureResult(value, err, evaluations)

@@ -31,7 +31,7 @@ class TestGamma:
     def test_one_third_against_integral_oracle(self):
         # independent oracle: direct quadrature of int_0^inf t**(-2/3) e**-t dt
         spec = IntegrandSpec(
-            evaluator=lambda t, dl, _dh: math.pow(dl, -2.0 / 3.0) * math.exp(-min(t, 700.0)),
+            evaluator=lambda t, dl, _dh: math.pow(dl, -2.0 / 3.0) * math.exp(-t),
         )
         oracle = integrate_semi_infinite(spec, 0.0, 1e-12).value.real
         assert gamma(1.0 / 3.0).real == pytest.approx(oracle, rel=1e-11)

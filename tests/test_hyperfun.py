@@ -792,6 +792,67 @@ def test_euler_admissibility_is_pfaff_invariant(case):
     assert applies == applies_after_pfaff
 
 
+def _admitted_by_two_tests(a, bs, c, xs):
+    """The earlier admissibility rule: Re c > Re a > 0, then summed Re b < 1 at each split."""
+    if not (c.real > a.real > 0.0):
+        return False
+    sums = {}
+    for b, x in zip(bs, xs):
+        if hyperfun._on_cut(x):
+            sums[1.0 / x.real] = sums.get(1.0 / x.real, 0j) + b
+    return all(b.real < 1.0 for b in sums.values())
+
+
+def test_singular_point_table_admits_what_the_two_tests_admitted(monkeypatch):
+    """Re power > 0 at every point of the table is the rule Re c > Re a > 0 plus Re b < 1 per split."""
+    from lauricella.quadrature import QuadratureResult
+
+    monkeypatch.setattr(hyperfun, "integrate", lambda *args: QuadratureResult(1.0, 0.0, 1))
+    monkeypatch.setattr(hyperfun, "gamma", lambda z: 1.0)   # Gamma refuses a within 1e-12 of 0
+    rng = random.Random(21)
+    edges = (0.0, 1e-20, -1e-20, 1e-17, 0.5, 1.0 - 2.0 ** -53, 1.0)
+
+    def part(lo, hi):
+        return rng.choice(edges) if rng.random() < 0.4 else rng.uniform(lo, hi)
+
+    def param(lo, hi):
+        return complex(part(lo, hi), rng.choice((0.0, rng.uniform(-1.0, 1.0))))
+
+    arguments = (2.0, 2.0, 4.0, 1.25, complex(2.0, 1e-20), complex(2.0, -1e-20), -3.0, 0.5, complex(0.3, 2.0))
+    admitted = 0
+    for _ in range(3000):
+        a = param(-0.5, 2.0)
+        c = a + param(-0.5, 2.0)
+        n = rng.randint(1, 3)
+        bs = [param(-0.5, 1.5) for _ in range(n)]
+        xs = [complex(rng.choice(arguments)) for _ in range(n)]
+        side = rng.choice(list(BranchSide))
+        applies = hyperfun._euler_fd(a, bs, c, xs, side, 1e-11) is not None
+        assert applies == _admitted_by_two_tests(a, bs, c, xs), (a, bs, c, xs)
+        admitted += applies
+    assert 300 < admitted < 2700
+
+    # at the edges: the exponents a - 1 and c - a - 1 round to -1 for a = 1e-20
+    # and c - a = 1e-17, so the test is on the power; and sum b = 1 - 2**-53
+    # at a split leaves the least positive power 1 - sum b
+    for a, c, bs, exponent in ((1e-20, 1.5, [0.5], -1.0), (1e-3, 1e-3 + 1e-17, [0.5], -1.0),
+                               (0.5, 1.5, [1.0 - 2.0 ** -53], -1.0 + 2.0 ** -53),
+                               (0.5, 1.5, [0.5, 0.5 - 2.0 ** -53], -1.0 + 2.0 ** -53)):
+        a, c, bs, xs = complex(a), complex(c), [complex(b) for b in bs], [2.0 + 0j] * len(bs)
+        points = hyperfun._singular_points(a, bs, c, xs, DEFAULT_SIDE)
+        assert min(e.real for _, _, e, *_ in points) == exponent
+        assert hyperfun._euler_fd(a, bs, c, xs, DEFAULT_SIDE, 1e-11) is not None
+        assert _admitted_by_two_tests(a, bs, c, xs)
+
+
+def test_refusal_names_the_first_divergent_point():
+    with pytest.raises(DomainError, match=r"Re b < 1.*diverges first at u = 1\.0, exponent -1\.5"):
+        lauricella_fd(HyperSpec(2.0, (0.5,) * 3, 1.5, (5.0, -2.0, 3.0)))
+    # the two arguments share the split 1/2, where their b's sum to 1.25
+    with pytest.raises(DomainError, match=r"diverges first at u = 0\.5, exponent -1\.25"):
+        appell_f1(0.5, 0.75, 0.5, 1.5, 2.0, 2.0)
+
+
 def test_euler_evaluation_count_is_pinned(monkeypatch):
     """One catalog pass takes exactly the seed's Euler-integrand evaluations.
 

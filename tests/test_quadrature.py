@@ -339,6 +339,34 @@ class TestSemiInfinite:
                 nearest = min(nearest, d_lo if lo == 2.0 else d_hi)
         assert nearest < 1e-20   # far below the ulp of t, so taken from the distances
 
+    @pytest.mark.parametrize("p", [1.2, 1.1])
+    def test_slow_algebraic_tail_reaches_tol(self, p):
+        # (1 + t)**-p maps to u**(p - 2) at u = 0.  With the node floor at
+        # u = 1e-40, p = 1.2 came back 1.0e-8 off with an estimate of 8.6e-10,
+        # and p = 1.1 raised; the floor is now 1e-150, and the band below the
+        # innermost sample is charged
+        spec = IntegrandSpec(evaluator=lambda t, _d_lo, _d_hi: (1.0 + t) ** -p)
+        result = integrate_semi_infinite(spec, 0.0, 1e-9)
+        want = 1.0 / (p - 1.0)
+        assert abs(result.value - want) <= 1e-12 * want
+        assert result.error_estimate <= 1e-9 * want
+
+    def test_tail_beyond_the_node_floor_is_charged(self):
+        # (1 + t)**-1.05 keeps 3e-8 of its integral past t = 1e150, where no
+        # sample is taken; the charge for that band fails the tolerance
+        spec = IntegrandSpec(evaluator=lambda t, _d_lo, _d_hi: (1.0 + t) ** -1.05)
+        with pytest.raises(QuadratureError, match="did not converge"):
+            integrate_semi_infinite(spec, 0.0, 1e-9)
+
+    def test_tail_growing_below_the_innermost_samples_raises(self):
+        # past t = 1e6 the integrand decays only like t**-0.9, far too small
+        # for any sample to move the sum, but its integral diverges
+        def g(t, _d_lo, _d_hi):
+            return 1.0 / (1.0 + t) ** 2 if t < 1e6 else 1e-30 * t ** -0.9
+
+        with pytest.raises(QuadratureError, match="does not decay faster than 1/t"):
+            integrate_semi_infinite(IntegrandSpec(evaluator=g), 0.0, 1e-9)
+
     def test_divergent_tail_detected(self):
         spec = IntegrandSpec(evaluator=lambda t, _d_lo, _d_hi: 1.0 / (1.0 + t))
         with pytest.raises(QuadratureError):
