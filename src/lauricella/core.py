@@ -48,6 +48,9 @@ DEFAULT_SIDE = BranchSide.BELOW
 # The tightest quadrature tolerance accepted anywhere: tanh-sinh's rounding
 # floor, 8 eps times the sum of |terms|, sits just below it.
 MIN_QUAD_TOL = 1e-13
+# The tolerance of the evaluators, the catalog runs and `quadrature.integrate`
+# when none is given.
+DEFAULT_QUAD_TOL = 1e-11
 
 
 class GammaPoleError(ValueError):
@@ -60,6 +63,12 @@ class DomainError(ValueError):
 
 class QuadratureError(RuntimeError):
     """Non-convergence or a non-finite sample at a regular point."""
+
+
+def check_quad_tol(quad_tol: float) -> None:
+    """The one rule for a quadrature tolerance: finite and at least MIN_QUAD_TOL."""
+    if not MIN_QUAD_TOL <= quad_tol < math.inf:   # a nan fails too
+        raise DomainError(f"quad_tol must be a finite number >= {MIN_QUAD_TOL}, got {quad_tol}")
 
 
 # Rational-series coefficients (g = 607/128, 15 terms), good to ~1e-15

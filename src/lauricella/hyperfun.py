@@ -43,12 +43,13 @@ from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     BranchSide,
+    DEFAULT_QUAD_TOL,
     DEFAULT_SIDE,
-    MIN_QUAD_TOL,
     DomainError,
     GammaPoleError,
     _check_finite,
     _log_gamma,
+    check_quad_tol,
     gamma,
     principal_pow,
 )
@@ -69,7 +70,6 @@ __all__ = [
     "pfaff_f1",
 ]
 
-DEFAULT_QUAD_TOL = 1e-11
 _SERIES_RADIUS = 0.9
 _MAX_TERMS = 100_000
 _LN2 = math.log(2.0)
@@ -147,12 +147,6 @@ def _on_cut(x: complex) -> bool:
 def _below(x: complex, side: BranchSide) -> bool:
     """Whether x on the cut takes the limit from Im x < 0: its own side, or ``side`` at Im x == 0."""
     return x.imag < 0.0 if x.imag else side is BranchSide.BELOW
-
-
-def _check_quad_tol(quad_tol: float) -> None:
-    """Reject a quadrature tolerance outside [MIN_QUAD_TOL, inf)."""
-    if not MIN_QUAD_TOL <= quad_tol < math.inf:   # a nan fails too
-        raise DomainError(f"quad_tol must be a finite number >= {MIN_QUAD_TOL}, got {quad_tol}")
 
 
 def _near_one(x: complex) -> bool:
@@ -538,7 +532,7 @@ def hyp2f1(
     a, b, c, x = complex(a), complex(b), complex(c), complex(x)
     _check_finite(a, b, c, x)
     _check_c(c)
-    _check_quad_tol(quad_tol)
+    check_quad_tol(quad_tol)
     if _near_one(x):
         raise DomainError("argument 1 is on the divergence boundary")
     y = x / (x - 1.0)
@@ -700,7 +694,7 @@ def _fd(
     quad_tol: float,
 ) -> complex:
     """FD of order n >= 2 at coerced and checked parameters."""
-    _check_quad_tol(quad_tol)
+    check_quad_tol(quad_tol)
     if any(_near_one(x) for x in xs):
         raise DomainError("argument 1 is on the divergence boundary")
     if len(xs) == 2:

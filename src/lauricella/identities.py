@@ -19,8 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import MIN_QUAD_TOL
-from .hyperfun import DEFAULT_QUAD_TOL
+from .core import DEFAULT_QUAD_TOL, MIN_QUAD_TOL
 
 __all__ = [
     "EvalContext",

@@ -19,6 +19,11 @@ sizes, it integrates them once more at a tolerance tightened by that ratio
 before it raises.  Every test is relative: an integral of 1e-120 is accepted
 on the same terms as one of 1.
 
+Tolerance: tol follows `core.check_quad_tol`, the one rule that the
+evaluators' ``quad_tol`` and the command line's ``--quad-tol`` share: finite
+and at least 1e-13.  Any other tol, inf and nan included, raises
+`DomainError` before the integrand is called.
+
 Endpoint accuracy: the integrand receives, with each node x, the node's
 distances to both panel ends, computed in the t-domain to full relative
 precision.  Near a nonzero end x itself loses that distance to rounding
@@ -55,7 +60,7 @@ import sys
 from dataclasses import InitVar, dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import MIN_QUAD_TOL, DomainError, GammaPoleError, QuadratureError
+from .core import DEFAULT_QUAD_TOL, DomainError, GammaPoleError, QuadratureError, check_quad_tol
 
 __all__ = [
     "IntegrandSpec",
@@ -69,6 +74,7 @@ MAX_LEVEL = 12
 _REACH_MARGIN = 0.5        # least |t| past a side's reach that each level evaluates
 _SIGMA_FLOOR = 5e-300      # drop nodes once the near-endpoint distance underflows
 _SEMI_INF_U_FLOOR = 1e-150  # mapped semi-infinite integrands are cut below this
+SEMI_QUAD_TOL = 1e-9        # `integrate_semi_infinite`'s tolerance when none is given
 # rounding of a weighted sample, relative to its size: the weight, the
 # distances raised to the integrand's powers and the product each add a few eps
 _ROUNDING = 8.0 * sys.float_info.epsilon
@@ -292,11 +298,6 @@ def _integrate_panels(g: _Integrand, points: Sequence[float], panel_tol: float) 
     return total, total_err, size, evaluations
 
 
-def _check_tol(tol: float) -> None:
-    if not tol >= MIN_QUAD_TOL:   # a nan tol fails too
-        raise ValueError(f"tol must be >= {MIN_QUAD_TOL}, got {tol}")
-
-
 def _check_converged(value: complex, err: float, tol: float) -> None:
     if not err <= tol * abs(value):   # a nan estimate fails too
         raise QuadratureError(
@@ -308,7 +309,7 @@ def integrate(
     spec: IntegrandSpec,
     lo: float,
     hi: float,
-    tol: float = 1e-11,
+    tol: float = DEFAULT_QUAD_TOL,
 ) -> QuadratureResult:
     """Integrate over [lo, hi], splitting at declared interior singularities.
 
@@ -318,7 +319,7 @@ def integrate(
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    _check_tol(tol)
+    check_quad_tol(tol)
     points = [lo, *(p for p in spec.interior_singularities if lo < p < hi), hi]
     panel_tol = tol / (len(points) - 1)
     total, total_err, size, evaluations = _integrate_panels(spec.evaluator, points, panel_tol)
@@ -332,7 +333,7 @@ def integrate(
 def integrate_semi_infinite(
     spec: IntegrandSpec,
     lo: float,
-    tol: float = 1e-9,
+    tol: float = SEMI_QUAD_TOL,
 ) -> QuadratureResult:
     """Integrate over [lo, inf): the tail past the last split via u = 1/(1 + t - end).
 
@@ -348,7 +349,7 @@ def integrate_semi_infinite(
     integral were h a power u**beta there, with beta read from the two
     innermost nonzero samples; 1 + beta <= 0 raises `QuadratureError`.
     """
-    _check_tol(tol)
+    check_quad_tol(tol)
     g = spec.evaluator
     end = max((lo, *spec.interior_singularities))   # where the tail starts
 

@@ -26,7 +26,7 @@ from .hyperfun import DEFAULT_QUAD_TOL, HyperSpec, lauricella_fd
 from .identities import (
     EvalContext, EvalReport, IdentityRecord, Plan, _verify_record, lookup, run_all,
 )
-from .quadrature import IntegrandSpec, integrate, integrate_semi_infinite
+from .quadrature import SEMI_QUAD_TOL, IntegrandSpec, integrate, integrate_semi_infinite
 
 __all__ = [
     "IntegralSide",
@@ -37,8 +37,6 @@ __all__ = [
     "representation_formulas_check",
     "substitution_errors",
 ]
-
-SEMI_QUAD_TOL = 1e-9
 
 
 @dataclass(frozen=True)

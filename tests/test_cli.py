@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from lauricella import HyperSpec, appell_f1, lauricella_fd, verify_all
+from lauricella import HyperSpec, appell_f1, hyp2f1, lauricella_fd, verify_all
+from lauricella import cli
 from lauricella.cli import main, _format_value, _parse_complex, _parse_complex_list
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -50,7 +51,24 @@ class TestEval:
         out = capsys.readouterr().out.splitlines()
         assert code == 0
         assert out[0].startswith("0.785398163397448")
-        assert out[1].startswith("error estimate:")
+
+    @pytest.mark.parametrize("x", ["-1", "5"])
+    def test_eval_prints_the_value_alone_from_one_evaluation(self, capsys, monkeypatch, x):
+        # a series point and a connection-formula point: eval once ran each
+        # point a second time at a looser tolerance to print an "error estimate"
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return hyp2f1(*args)
+
+        monkeypatch.setattr(cli, "hyp2f1", counted)
+        code = main(["eval", "2f1", "--a", "1", "--b", "0.5", "--c", "1.5", "--x", x, "--quad-tol", "1e-12"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(out) == 1
+        assert len(calls) == 1
+        assert calls[0][-1] == 1e-12
 
     @pytest.mark.parametrize(
         "argv, want",
@@ -194,7 +212,6 @@ class TestEval:
         assert code in (0, 3)
         if code == 0:
             assert out[0].endswith("i")
-            assert out[1].startswith("error estimate:")
 
     def test_large_parameters_at_minus_point_nine(self, capsys):
         code = main(["eval", "2f1", "--a", "10", "--b", "10", "--c", "1.5", "--x", "-0.9"])

@@ -64,6 +64,16 @@ class TestSpecValidation:
             integrate_semi_infinite(spec, 0.0, math.nan)
         assert calls == []
 
+    def test_inf_tol_rejected_before_any_call(self):
+        # tol=inf once returned this pi/4 23 % off, and the semi-infinite pi/2 18 % off
+        calls = []
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: calls.append(x) or 1.0 / (1.0 + x * x))
+        with pytest.raises(DomainError, match="quad_tol"):
+            integrate(spec, 0.0, 1.0, math.inf)
+        with pytest.raises(DomainError, match="quad_tol"):
+            integrate_semi_infinite(spec, 0.0, math.inf)
+        assert calls == []
+
 
 class TestFiniteIntervals:
     def test_inverse_sqrt(self):
@@ -288,7 +298,7 @@ class TestSemiInfinite:
         assert value == pytest.approx(math.pi / 2, rel=1e-11)
 
     def test_quartic_radical(self):
-        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: 1.0 / math.sqrt(1.0 + min(x, 1e70) ** 4))
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: 1.0 / math.hypot(1.0, x * x))
         value = integrate_semi_infinite(spec, 0.0, 1e-11).value
         assert value == pytest.approx(K12, rel=1e-10)
         assert value == pytest.approx(complete_k(1 / math.sqrt(2)), rel=1e-10)
