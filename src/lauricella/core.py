@@ -5,7 +5,9 @@ values are always finite; domain problems raise instead of propagating NaN.
 Gamma and log-Gamma of a real argument come from the C math library
 (``math.gamma``, ``math.lgamma``).  A complex argument has one approximation,
 a Lanczos sum and the reflection formula, both in log form in ``_log_gamma``;
-a complex Gamma is the exp of that logarithm.
+a complex Gamma is the exp of that logarithm.  A quotient of Gammas has one
+rule, `_gamma_quotient`: the direct quotient while it is in range, the exp of
+the log-Gamma sum past it.
 """
 
 from __future__ import annotations
@@ -193,6 +195,50 @@ def _log_gamma(z: complex) -> complex:
     return log
 
 
+def _normal(value: complex) -> bool:
+    """Whether value is finite and not 0 or subnormal (a NaN is neither)."""
+    return _MIN_NORMAL <= abs(value.real) + abs(value.imag) < math.inf
+
+
+def _gamma_quotient(num: tuple[complex, ...], den: tuple[complex, ...], divisor: int = 1) -> complex:
+    """prod Gamma(num) / (divisor * prod Gamma(den)), in one of two forms.
+
+    The direct quotient, each product multiplied in argument order, is used
+    when every Gamma is in range, the denominator is a normal float and so
+    is the quotient: at real parameters it is the more accurate form.
+    Otherwise the quotient is the exp of the log-Gamma sum, folded left in
+    argument order (each numerator's `_log_gamma` added, then each
+    denominator's subtracted), which stays finite where a Gamma leaves the
+    float range.  A quotient outside the normal float range raises
+    :class:`DomainError`; a Gamma pole raises :class:`GammaPoleError`.
+    """
+    try:
+        top = math.prod(map(gamma, num))
+        bottom = math.prod(map(gamma, den), start=divisor)
+    except DomainError:
+        pass
+    else:
+        if _normal(bottom):
+            value = top / bottom
+            if _normal(value):
+                return value
+    log = _log_gamma(num[0])
+    for z in num[1:]:
+        log += _log_gamma(z)
+    for z in den:
+        log -= _log_gamma(z)
+    try:
+        value = cmath.exp(log - math.log(divisor))
+    except OverflowError:
+        pass
+    else:
+        if _normal(value):
+            return value
+    raise DomainError(
+        f"the Gamma quotient at {list(num)} over {list(den)} is outside the floating-point range"
+    )
+
+
 def pochhammer(a: complex, m: int) -> complex:
     """Rising factorial a (a+1) ... (a+m-1), by direct product."""
     if m < 0:
@@ -208,7 +254,8 @@ def principal_pow(base: complex, exponent: complex, side: BranchSide = DEFAULT_S
     """base**exponent with the principal logarithm.
 
     When ``base`` lies on the cut (-inf, 0], the argument is taken as +pi for
-    ``side=ABOVE`` and -pi for ``side=BELOW``.
+    ``side=ABOVE`` and -pi for ``side=BELOW``.  A value past the float
+    range raises :class:`DomainError`.
     """
     base = complex(base)
     exponent = complex(exponent)
@@ -223,8 +270,12 @@ def principal_pow(base: complex, exponent: complex, side: BranchSide = DEFAULT_S
     if base.imag == 0.0 and base.real < 0.0:
         arg = math.pi if side is BranchSide.ABOVE else -math.pi
         log = complex(math.log(-base.real), arg)
+    else:
+        log = cmath.log(base)
+    try:
         return cmath.exp(exponent * log)
-    return cmath.exp(exponent * cmath.log(base))
+    except OverflowError:
+        raise DomainError(f"{base}**{exponent} exceeds the floating-point range") from None
 
 
 def _snap(value: float) -> float:

@@ -31,6 +31,10 @@ An argument with Re x > 1 and |Im x| <= 1e-13 (1 + Re x) is taken as on the
 cut, and one rule picks its side in 2F1, F1 and FD alike (`_below`): an
 argument off the real axis takes the limit from its own side, and ``side``
 picks it only for Im x == 0.
+
+Every value is finite: a value past the float range, or a path through a
+quantity past it (a series term or sum, a Pfaff prefactor, a Gamma
+quotient), raises `DomainError`.
 """
 
 from __future__ import annotations
@@ -48,9 +52,10 @@ from .core import (
     DomainError,
     GammaPoleError,
     _check_finite,
+    _gamma_quotient,
     _log_gamma,
     check_quad_tol,
-    gamma,
+    gamma,  # not called here: bound for perfbench/tracing.py, which wraps hyperfun.gamma
     principal_pow,
 )
 
@@ -153,6 +158,13 @@ def _near_one(x: complex) -> bool:
     return abs(x - 1.0) < 1e-14
 
 
+def _finite(value: complex) -> complex:
+    """value, or `DomainError` when a product of finite factors has left the float range."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"the value exceeds the floating-point range: {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # series evaluation
 
@@ -189,7 +201,8 @@ def _gauss_sum(a: complex, b: complex, c: complex, x: complex) -> tuple[complex,
     The bound is eps * max|term| * terms for the rounding (each term carries
     a relative rounding error of a few eps, and the sum can be no more
     accurate than its largest term allows) plus |last term| rho/(1 - rho)
-    for the tail.
+    for the tail.  A sum, or a term's modulus, past the float range raises
+    `DomainError`.
     """
     # The index k and the 1 of 1 + k are ints in complex arithmetic and
     # floats in float arithmetic: each addition then takes the interpreter's
@@ -207,38 +220,45 @@ def _gauss_sum(a: complex, b: complex, c: complex, x: complex) -> tuple[complex,
     total = term = 1.0
     peak = mass = 1.0  # max |term| and 1 + sum |term|
     last_small = -2  # the index of the last term below 1e-16 of the sum
-    for k in indices:
-        if float_ratio:
-            term = term * ((a + k) * (b + k) / ((c + k) * (one + k))) * x
+    try:
+        for k in indices:
+            if float_ratio:
+                term = term * ((a + k) * (b + k) / ((c + k) * (one + k))) * x
+            else:
+                term = term * (a + k) * (b + k) / ((c + k) * (one + k)) * x
+            total += term
+            size = abs(term)
+            mass += size
+            if size < 1e-16 * mass and size < 1e-16 * abs(total):
+                if last_small == k - 1:
+                    n = k + 1.0  # the next term's index, and the count of terms less one
+                    if size == 0.0:  # every later term is 0 too
+                        bound = _EPS * peak * (n + 1.0)
+                        break
+                    if n > -c.real:
+                        # From n on, |a+k| <= k + |a| and |c+k| >= k + Re c, and
+                        # each quotient of linear factors moves monotonically
+                        # towards 1; the larger numerator over the larger
+                        # denominator gives the smaller bound.
+                        num_lo, num_hi = abs(a), abs(b)
+                        if num_lo > num_hi:
+                            num_lo, num_hi = num_hi, num_lo
+                        den_lo, den_hi = (c.real, 1.0) if c.real < 1.0 else (1.0, c.real)
+                        g = (n + num_lo) / (n + den_lo)
+                        h = (n + num_hi) / (n + den_hi)
+                        r = abs(x)
+                        rho = 0.5 + 0.5 * r
+                        if r * (g if g > 1.0 else 1.0) * (h if h > 1.0 else 1.0) <= rho:
+                            bound = _EPS * peak * (n + 1.0) + size * rho / (1.0 - rho)
+                            break
+                last_small = k
+            elif size > peak:
+                peak = size
         else:
-            term = term * (a + k) * (b + k) / ((c + k) * (one + k)) * x
-        total += term
-        size = abs(term)
-        mass += size
-        if size < 1e-16 * mass and size < 1e-16 * abs(total):
-            if last_small == k - 1:
-                n = k + 1.0  # the next term's index, and the count of terms less one
-                if size == 0.0:  # every later term is 0 too
-                    return complex(total), _EPS * peak * (n + 1.0)
-                if n > -c.real:
-                    # From n on, |a+k| <= k + |a| and |c+k| >= k + Re c, and
-                    # each quotient of linear factors moves monotonically
-                    # towards 1; the larger numerator over the larger
-                    # denominator gives the smaller bound.
-                    num_lo, num_hi = abs(a), abs(b)
-                    if num_lo > num_hi:
-                        num_lo, num_hi = num_hi, num_lo
-                    den_lo, den_hi = (c.real, 1.0) if c.real < 1.0 else (1.0, c.real)
-                    g = (n + num_lo) / (n + den_lo)
-                    h = (n + num_hi) / (n + den_hi)
-                    r = abs(x)
-                    rho = 0.5 + 0.5 * r
-                    if r * (g if g > 1.0 else 1.0) * (h if h > 1.0 else 1.0) <= rho:
-                        return complex(total), _EPS * peak * (n + 1.0) + size * rho / (1.0 - rho)
-            last_small = k
-        elif size > peak:
-            peak = size
-    raise DomainError("series did not converge within the term budget")
+            raise DomainError("series did not converge within the term budget")
+    except OverflowError:  # abs() of a term past the float range
+        raise DomainError("a series term exceeds the floating-point range") from None
+    return _finite(complex(total)), bound
 
 
 def _appell_series(a, b1, b2, c, x1, x2) -> complex:
@@ -262,7 +282,8 @@ def _appell_series(a, b1, b2, c, x1, x2) -> complex:
     consecutive zero p's make every later p zero, so that rule cannot end
     the sum early on the parity zeros of x2 = -x1.  As in `_gauss_sum`,
     |sum| is computed only for a term already below 1e-16 of the running
-    1 + sum|term|.
+    1 + sum|term|.  A sum, or a term's modulus, past the float range raises
+    `DomainError`.
     """
     if not (a.imag or c.imag):
         a, c = a.real, c.real
@@ -276,22 +297,27 @@ def _appell_series(a, b1, b2, c, x1, x2) -> complex:
     total = ratio = 1.0
     mass = 1.0  # 1 + sum |term|
     small = 0
-    for n in map(float, range(_MAX_TERMS)):
-        p_prev, p = p, (lin * p - quad * p_prev) / (n + 1.0)
-        lin += s
-        quad += prod
-        ratio = ratio * (a + n) / (c + n)
-        term = ratio * p
-        total += term
-        size = abs(term)
-        mass += size
-        if size < 1e-16 * mass and size < 1e-16 * abs(total):
-            small += 1
-            if small >= 2:
-                return complex(total)
+    try:
+        for n in map(float, range(_MAX_TERMS)):
+            p_prev, p = p, (lin * p - quad * p_prev) / (n + 1.0)
+            lin += s
+            quad += prod
+            ratio = ratio * (a + n) / (c + n)
+            term = ratio * p
+            total += term
+            size = abs(term)
+            mass += size
+            if size < 1e-16 * mass and size < 1e-16 * abs(total):
+                small += 1
+                if small >= 2:
+                    break
+            else:
+                small = 0
         else:
-            small = 0
-    raise DomainError("Appell series did not converge within the term budget")
+            raise DomainError("Appell series did not converge within the term budget")
+    except OverflowError:  # abs() of a term past the float range
+        raise DomainError("an Appell series term exceeds the floating-point range") from None
+    return _finite(complex(total))
 
 
 # ---------------------------------------------------------------------------
@@ -481,24 +507,16 @@ def _euler_fd(
     This is the one place that tests it, on the powers themselves: the
     exponent a - 1 of a = 1e-20 rounds to -1.  A Pfaff transformation cannot
     make it apply: a -> c - a swaps the powers at 0 and 1, and an argument
-    on the cut maps onto the cut with the same b.
+    on the cut maps onto the cut with the same b.  The prefactor is
+    `_gamma_quotient`'s, and a prefactor or value past the float range
+    raises `DomainError`.
     """
     points = _singular_points(a, bs, c, xs, side)
     if _divergent(points) is not None:
         return None
     spec = _euler_panels(points, bs, xs)
     result = integrate(spec, 0.0, 1.0, quad_tol)
-    try:
-        prefactor = gamma(c) / (gamma(a) * gamma(c - a))
-    except DomainError:
-        # A Gamma left the float range; the quotient itself usually has not.
-        try:
-            prefactor = cmath.exp(_log_gamma(c) - _log_gamma(a) - _log_gamma(c - a))
-        except OverflowError:
-            raise DomainError(
-                f"Gamma(c)/(Gamma(a) Gamma(c-a)) exceeds the floating-point range; a = {a}, c = {c}"
-            ) from None
-    return prefactor * result.value
+    return _finite(_gamma_quotient((c,), (a, c - a)) * result.value)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +557,7 @@ def hyp2f1(
     r_x, r_y = abs(x), abs(y)
     if r_y < r_x and r_y <= _SERIES_RADIUS:
         # |y| <= 0.9 puts x off the cut, so 1 - x is off the branch cut of the power
-        return principal_pow(1.0 - x, -a) * hyp2f1_series(a, c - b, c, y)
+        return _finite(principal_pow(1.0 - x, -a) * hyp2f1_series(a, c - b, c, y))
     if r_x <= _SERIES_RADIUS:
         return hyp2f1_series(a, b, c, x)
     value = _hyp2f1_connection(a, b, c, x, side, quad_tol)
@@ -703,7 +721,7 @@ def _fd(
         r_y = max(abs(x1 / (x1 - 1.0)), abs(x2 / (x2 - 1.0)))
         if r_y < r_x and r_y <= _SERIES_RADIUS:
             pref, (y1, y2) = _pfaff_args(bs, xs, side)
-            return pref * _appell_series(c - a, b1, b2, c, y1, y2)
+            return _finite(pref * _appell_series(c - a, b1, b2, c, y1, y2))
         if r_x <= _SERIES_RADIUS:
             return _appell_series(a, b1, b2, c, x1, x2)
     value = _euler_fd(a, bs, c, xs, side, quad_tol)
@@ -779,15 +797,15 @@ def fd_order_reduce(spec: HyperSpec, side: BranchSide = DEFAULT_SIDE) -> tuple[H
 # Eulerian integral closed forms
 
 def eulerian_a(n: int, a: complex, b: complex) -> complex:
-    """Closed form of int_0^1 t**(a-1) (1 - t**n)**(-b) dt."""
+    """Closed form of int_0^1 t**(a-1) (1 - t**n)**(-b) dt, a `_gamma_quotient`."""
     a, b = complex(a), complex(b)
     if a.real <= 0.0 or b.real >= 1.0:
         raise DomainError(f"need Re a > 0 and Re b < 1, got a = {a}, b = {b}")
-    return gamma(a / n) * gamma(1.0 - b) / (n * gamma(1.0 + a / n - b))
+    return _gamma_quotient((a / n, 1.0 - b), (1.0 + a / n - b,), n)
 
 
 def eulerian_b(n: int, a: float, b: float) -> complex:
-    """Closed form of int_0^inf t**(a-1) (1 + t**n)**(-b) dt."""
+    """Closed form of int_0^inf t**(a-1) (1 + t**n)**(-b) dt, a `_gamma_quotient`."""
     if not (a > 0.0 and b > 0.0 and n * b > a):
         raise DomainError(f"need a > 0, b > 0, n b > a; got n = {n}, a = {a}, b = {b}")
-    return gamma(a / n) * gamma((n * b - a) / n) / (n * gamma(b))
+    return _gamma_quotient((a / n, (n * b - a) / n), (b,), n)

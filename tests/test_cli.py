@@ -219,6 +219,20 @@ class TestEval:
         assert code == 0
         assert abs(_parse_value(out[0]) - 1.49735359829033e-4) <= 1e-12 * 1.49735359829033e-4
 
+    @pytest.mark.parametrize("argv", [
+        # Gamma(a) Gamma(c-a) underflows: the Euler prefactor, about 2.6e325, is past the range
+        ["eval", "f1", "--a", "0.5,240", "--bs", "0.3,0.4", "--c", "1.5", "--xs", "2,0;-3,0"],
+        # 1.9**800 times a finite series sum overflows; 1.9**1200 overflows on its own
+        ["eval", "2f1", "--a=-800", "--b", "0.5", "--c", "1.5", "--x=-0.9"],
+        ["eval", "2f1", "--a=-1200", "--b", "0.5", "--c", "1.5", "--x=-0.9"],
+    ])
+    def test_value_past_float_range_is_exit_3(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "floating-point range" in captured.err
+
     def test_gamma_quotient_past_float_range(self, capsys):
         # Gamma(172) overflows; the Euler prefactor is formed from log-Gammas
         code = main(["eval", "2f1", "--a", "171.5", "--b", "0.5", "--c", "172", "--x", "2"])

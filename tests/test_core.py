@@ -201,6 +201,54 @@ class TestLogGamma:
             _log_gamma(x)
 
 
+class TestGammaQuotient:
+    def test_direct_quotient_in_range(self):
+        from lauricella.core import _gamma_quotient
+
+        g = gamma
+        pairs = [
+            (_gamma_quotient((1.5,), (0.25, 1.25)), g(1.5) / (g(0.25) * g(1.25))),
+            (_gamma_quotient((2.5 + 1j, 0.3), (1.7 - 0.2j,)), g(2.5 + 1j) * g(0.3) / g(1.7 - 0.2j)),
+            # the divisor leads the denominator product, as in n Gamma(b)
+            (_gamma_quotient((0.5, 0.75), (1.25,), 3), g(0.5) * g(0.75) / (3 * g(1.25))),
+        ]
+        for got, want in pairs:
+            assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("num, den, divisor", [
+        ((200.0,), (199.5,), 1),                           # Gamma(200) overflows
+        ((2 + 480j,), (0.5 + 240j, 1.5 + 240j), 1),        # Gammas and their product underflow
+        ((0.25, 180.0), (180.5,), 7),
+    ])
+    def test_log_gamma_sum_past_float_range(self, num, den, divisor):
+        from lauricella.core import _gamma_quotient
+
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            top = mpmath.fprod(mpmath.gamma(z) for z in num)
+            want = complex(top / (divisor * mpmath.fprod(mpmath.gamma(z) for z in den)))
+        got = _gamma_quotient(num, den, divisor)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("num, den", [
+        ((1.5,), (0.5 + 240j, 1 - 240j)),   # about 2.6e325
+        ((1.0,), (180.0, 180.0)),             # about 1e-652
+    ])
+    def test_quotient_outside_float_range_is_domain_error(self, num, den):
+        from lauricella.core import _gamma_quotient
+
+        with pytest.raises(DomainError, match="floating-point range"):
+            _gamma_quotient(num, den)
+
+    def test_pole_passes_through(self):
+        from lauricella.core import _gamma_quotient
+
+        with pytest.raises(GammaPoleError):
+            _gamma_quotient((-2.0,), (1.5,))
+        with pytest.raises(GammaPoleError):
+            _gamma_quotient((200.0,), (0.0,))
+
+
 class TestPochhammer:
     def test_empty_product(self):
         assert pochhammer(3.0, 0) == 1.0
@@ -240,6 +288,11 @@ class TestPrincipalPow:
         assert principal_pow(0.0, 2.0) == 0.0
         with pytest.raises(DomainError):
             principal_pow(0.0, -1.0)
+
+    @pytest.mark.parametrize("base, exponent", [(1e300, 2.0), (1.9, 1200.0), (-1e200, 2.5), (1j, -800j)])
+    def test_past_float_range_is_domain_error(self, base, exponent):
+        with pytest.raises(DomainError, match="floating-point range"):
+            principal_pow(base, exponent)
 
     @given(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False))
     @settings(max_examples=80, deadline=None)

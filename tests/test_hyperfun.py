@@ -436,6 +436,17 @@ class TestEulerianClosedForms:
         assert got == pytest.approx(want, rel=1e-13)
         assert got == pytest.approx(0.3374884744129745, rel=1e-13)
 
+    @pytest.mark.parametrize("closed_form, n, a, b, want", [
+        # mpmath at 30 digits; Gamma(200), Gamma(172.25), Gamma(179.5) and Gamma(200) overflow
+        (eulerian_a, 1, 200, 0.5, 0.12540977026737816),
+        (eulerian_a, 2, 400, 0.5, 0.06270488513368908),
+        (eulerian_a, 1, 171.5, 0.25, 0.025871582394479649),
+        (eulerian_b, 1, 150, 200, 5.87554796028826e-50),
+        (eulerian_b, 4, 2, 180, 0.033096734924472774),
+    ])
+    def test_gammas_past_float_range(self, closed_form, n, a, b, want):
+        assert abs(closed_form(n, a, b) - want) <= 1e-12 * want
+
     def test_domains(self):
         with pytest.raises(DomainError):
             eulerian_a(3, -1.0, 0.5)
@@ -808,7 +819,7 @@ def test_singular_point_table_admits_what_the_two_tests_admitted(monkeypatch):
     from lauricella.quadrature import QuadratureResult
 
     monkeypatch.setattr(hyperfun, "integrate", lambda *args: QuadratureResult(1.0, 0.0, 1))
-    monkeypatch.setattr(hyperfun, "gamma", lambda z: 1.0)   # Gamma refuses a within 1e-12 of 0
+    monkeypatch.setattr(hyperfun, "_gamma_quotient", lambda num, den: 1.0)   # Gamma refuses a within 1e-12 of 0
     rng = random.Random(21)
     edges = (0.0, 1e-20, -1e-20, 1e-17, 0.5, 1.0 - 2.0 ** -53, 1.0)
 
@@ -1214,6 +1225,64 @@ class TestNonFiniteInputs:
     def test_hyper_spec(self):
         with pytest.raises(DomainError, match="finite"):
             lauricella_fd(HyperSpec(0.5, (0.2,) * 3, 1.5, (math.inf, 3, -3)))
+
+
+class TestFloatRange:
+    """Values past the float range raise DomainError: no bare arithmetic exception, no inf."""
+
+    @pytest.mark.parametrize("evaluate", [
+        # Gamma(a) Gamma(c-a) underflows to 0: the prefactor, about 2.6e325, is past the range
+        lambda: appell_f1(0.5 + 240j, 0.3, 0.4, 1.5, 2, -3),
+        lambda: hyp2f1(0.5 + 240j, 0.5, 1.5, 1.5),   # mpmath: -2.74e324 + 4.15e323i
+        lambda: lauricella_fd(HyperSpec(0.5 + 240j, (0.3, 0.2, 0.1), 1.5, (2, -3, 5))),
+        # the Pfaff prefactor 1.9**800 times its finite sum overflows (mpmath: 1.33e220)
+        lambda: hyp2f1(-800, 0.5, 1.5, -0.9),
+        # the Pfaff prefactor 1.9**1200 itself overflows (mpmath: 2.81e331)
+        lambda: hyp2f1(-1200, 0.5, 1.5, -0.9),
+        # a series term's modulus overflows
+        lambda: hyp2f1(275.9154619149889, -151.31072751675956, -260.6264354492342,
+                       -4.448110166050161 - 1.4913055541071125j),
+        lambda: appell_f1(-213.57164502117814 + 265.8029360581223j, -250.06857550706715,
+                          54.32954763941024 - 287.3307065578978j, 37.58005995714973 + 66.46090522028953j,
+                          0.03377454495253442, -3.880059559813708 + 4.751702520426946e-16j),
+    ])
+    def test_domain_error(self, evaluate):
+        with pytest.raises(DomainError, match="floating-point range"):
+            evaluate()
+
+    def test_gauss_sum_that_overflows_is_domain_error(self):
+        # two finite terms of about 1e308 whose sum overflows, then an exact 0
+        with pytest.raises(DomainError, match="floating-point range"):
+            hyperfun._gauss_sum(-2 + 0j, 1.2222 + 0j, 2.2e-308 + 0j, -0.9 + 1e-200j)
+
+    def test_every_euler_prefactor_keeps_the_direct_quotient(self, monkeypatch):
+        """At every in-range (a, c) the Euler prefactor is Gamma(c) / (Gamma(a) Gamma(c-a)), bit for bit."""
+        import os
+
+        from lauricella.core import _gamma_quotient, gamma
+
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+        import inputs
+        import workloads
+
+        calls = []
+
+        def record(num, den):
+            calls.append((num, den))
+            return _gamma_quotient(num, den)
+
+        monkeypatch.setattr(hyperfun, "_gamma_quotient", record)
+        workloads.catalog_pass()
+        catalog_calls = len(calls)
+        evaluate = workloads.make_evaluator()
+        for seed in (1, 2, 3):
+            for p in inputs.continuation_points(seed):
+                if not inputs.known_defect(p):
+                    evaluate(p)
+        assert catalog_calls >= 40 and len(calls) - catalog_calls >= 150
+        for (c,), (a, c_minus_a) in calls:
+            assert c_minus_a == c - a
+            assert repr(_gamma_quotient((c,), (a, c - a))) == repr(gamma(c) / (gamma(a) * gamma(c - a)))
 
 
 class TestQuadTol:
