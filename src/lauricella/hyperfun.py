@@ -202,7 +202,7 @@ def _gauss_sum(a: complex, b: complex, c: complex, x: complex) -> tuple[complex,
     a relative rounding error of a few eps, and the sum can be no more
     accurate than its largest term allows) plus |last term| rho/(1 - rho)
     for the tail.  A sum, or a term's modulus, past the float range raises
-    `DomainError`.
+    `DomainError`, at the first term of modulus inf or nan.
     """
     # The index k and the 1 of 1 + k are ints in complex arithmetic and
     # floats in float arithmetic: each addition then takes the interpreter's
@@ -252,7 +252,10 @@ def _gauss_sum(a: complex, b: complex, c: complex, x: complex) -> tuple[complex,
                             bound = _EPS * peak * (n + 1.0) + size * rho / (1.0 - rho)
                             break
                 last_small = k
-            elif size > peak:
+            elif not size <= peak:
+                # a growing term, or a nan one: a complex product can go from finite to nan
+                if not size < math.inf:
+                    raise DomainError("a series term exceeds the floating-point range")
                 peak = size
         else:
             raise DomainError("series did not converge within the term budget")
@@ -283,7 +286,7 @@ def _appell_series(a, b1, b2, c, x1, x2) -> complex:
     the sum early on the parity zeros of x2 = -x1.  As in `_gauss_sum`,
     |sum| is computed only for a term already below 1e-16 of the running
     1 + sum|term|.  A sum, or a term's modulus, past the float range raises
-    `DomainError`.
+    `DomainError`, at the first term of modulus inf or nan.
     """
     if not (a.imag or c.imag):
         a, c = a.real, c.real
@@ -297,8 +300,10 @@ def _appell_series(a, b1, b2, c, x1, x2) -> complex:
     total = ratio = 1.0
     mass = 1.0  # 1 + sum |term|
     small = 0
+    # n counts in floats, an addition per term instead of a float() call
+    n, budget, inf = 0.0, float(_MAX_TERMS), math.inf
     try:
-        for n in map(float, range(_MAX_TERMS)):
+        while n < budget:
             p_prev, p = p, (lin * p - quad * p_prev) / (n + 1.0)
             lin += s
             quad += prod
@@ -311,8 +316,11 @@ def _appell_series(a, b1, b2, c, x1, x2) -> complex:
                 small += 1
                 if small >= 2:
                     break
-            else:
+            elif size < inf:
                 small = 0
+            else:  # inf or nan
+                raise DomainError("an Appell series term exceeds the floating-point range")
+            n += 1.0
         else:
             raise DomainError("Appell series did not converge within the term budget")
     except OverflowError:  # abs() of a term past the float range

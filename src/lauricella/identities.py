@@ -1,8 +1,9 @@
 """Machine-checkable identity catalog and the double-evaluation verifier.
 
 Each record carries two evaluation plans (a hypergeometric side and a closed
-form) plus a tolerance, and optionally a closed-form value the left side must
-equal as well, or a declared `Erratum` for a printed form that fails.
+form, or two integrals) plus a tolerance, and optionally a closed-form value
+the left side must equal as well, or a declared `Erratum` for a printed form
+that fails.
 ``_verify_record`` is the one check behind the identity catalog, the
 reductions and the representation formulas: it evaluates both plans once and
 judges the record only as declared.  A record that fails without a declared
@@ -64,6 +65,8 @@ class IdentityRecord:
     tolerance: float = 1e-8
     erratum: Optional[Erratum] = None
     closed_form: Optional[Callable[[], complex]] = None   # a third value lhs must equal
+    # (map, ((x, image), ...)): the substitution behind a reduction and its endpoint images
+    substitution: Optional[tuple[Callable[[float], float], tuple[tuple[float, float], ...]]] = None
 
 
 @dataclass(frozen=True)

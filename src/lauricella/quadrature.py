@@ -91,8 +91,8 @@ class IntegrandSpec:
                             are x's distances to the current panel's ends at
                             full relative precision; near a singular end,
                             compute the singular factors from them
-    interior_singularities  strictly increasing points inside the interval
-                            carrying integrable algebraic singularities
+    interior_singularities  strictly increasing finite points inside the
+                            interval carrying integrable algebraic singularities
     distance_evaluator      init-only alias for `evaluator`; reads None
 
     No singularity order is declared: tanh-sinh integrates an integrable
@@ -111,6 +111,8 @@ class IntegrandSpec:
         if self.evaluator is None:
             raise ValueError("an integrand needs an evaluator")
         pts = self.interior_singularities
+        if not all(map(math.isfinite, pts)):
+            raise ValueError(f"interior singularities must be finite, got {pts}")
         if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
             raise ValueError("interior singularities must be strictly increasing")
 
@@ -311,14 +313,14 @@ def integrate(
     hi: float,
     tol: float = DEFAULT_QUAD_TOL,
 ) -> QuadratureResult:
-    """Integrate over [lo, hi], splitting at declared interior singularities.
+    """Integrate over a finite [lo, hi], splitting at declared interior singularities.
 
     The returned value meets error_estimate <= tol * |value|.  When the
     panels cancel, so that |value| is below the sum of their sizes, they are
     integrated once more at a tolerance tightened by that ratio.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not -math.inf < lo < hi < math.inf:   # nan fails too
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
     check_quad_tol(tol)
     points = [lo, *(p for p in spec.interior_singularities if lo < p < hi), hi]
     panel_tol = tol / (len(points) - 1)
@@ -335,7 +337,7 @@ def integrate_semi_infinite(
     lo: float,
     tol: float = SEMI_QUAD_TOL,
 ) -> QuadratureResult:
-    """Integrate over [lo, inf): the tail past the last split via u = 1/(1 + t - end).
+    """Integrate over [lo, inf), lo finite: the tail past the last split via u = 1/(1 + t - end).
 
     The integrand must decay faster than 1/t.  A t**-p tail maps to
     u**(p - 2) at u = 0, an algebraic end like any other.  With interior
@@ -349,6 +351,8 @@ def integrate_semi_infinite(
     integral were h a power u**beta there, with beta read from the two
     innermost nonzero samples; 1 + beta <= 0 raises `QuadratureError`.
     """
+    if not -math.inf < lo < math.inf:   # nan fails too
+        raise ValueError(f"need finite lo < hi, got [{lo}, inf]")
     check_quad_tol(tol)
     g = spec.evaluator
     end = max((lo, *spec.interior_singularities))   # where the tail starts

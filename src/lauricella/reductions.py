@@ -1,18 +1,18 @@
 """Hyperelliptic-to-elliptic reduction checks by quadrature of both sides.
 
-Each record holds the two definite integrals of one classical reduction (plus
-the rational substitution behind it) and, where available, the closed-form
-value both sides must equal.  Verification integrates both sides numerically
-and never relies on the substitution algebra itself.  Every reduction compiles
-into an ``IdentityRecord``, as do the three radical-integral representation
-formulas, and the identity verifier checks them all.
+Every check here is an ``IdentityRecord`` whose sides are integral plans
+(``IntegralSide``): a reduction's two definite integrals, plus the rational
+substitution behind it and, where available, the closed-form value both
+sides must equal; and the three radical-integral representation formulas,
+an integral against a Lauricella FD value.  Verification integrates both
+sides numerically and never relies on the substitution algebra itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import gamma
 from .elliptic import (
@@ -38,35 +38,26 @@ __all__ = [
     "substitution_errors",
 ]
 
+# the record shape of every check here, under its historical name
+ReductionRecord = IdentityRecord
+
 
 @dataclass(frozen=True)
 class IntegralSide:
+    """The plan `scale` times the integral of `spec` over [lo, hi]."""
+
     spec: IntegrandSpec
     lo: float
     hi: float                      # math.inf marks a semi-infinite interval
+    scale: complex = 1.0
 
-
-@dataclass(frozen=True)
-class ReductionRecord:
-    id: str
-    anchor: str
-    lhs: IntegralSide
-    rhs: IntegralSide
-    rhs_scale: complex = 1.0
-    combine: str = "ratio"         # "ratio": lhs = scale*rhs; "product": lhs*rhs = closed_form
-    closed_form: Optional[Callable[[], complex]] = None
-    substitution: Optional[Callable[[float], float]] = None
-    substitution_points: tuple[tuple[float, float], ...] = ()
-    tolerance: float = 1e-8
-
-
-def _side_value(side: IntegralSide, ctx: EvalContext) -> complex:
-    # semi-infinite sides aim at SEMI_QUAD_TOL, or a tenth of a tighter check
-    # tolerance, but never below the finite target, which carries the MIN_QUAD_TOL floor
-    if math.isinf(side.hi):
-        tol = max(ctx.quad_tol, min(SEMI_QUAD_TOL, ctx.tol / 10.0))
-        return integrate_semi_infinite(side.spec, side.lo, tol).value
-    return integrate(side.spec, side.lo, side.hi, ctx.quad_tol).value
+    def __call__(self, ctx: EvalContext) -> complex:
+        # semi-infinite sides aim at SEMI_QUAD_TOL, or a tenth of a tighter check
+        # tolerance, but never below the finite target, which carries the MIN_QUAD_TOL floor
+        if math.isinf(self.hi):
+            tol = max(ctx.quad_tol, min(SEMI_QUAD_TOL, ctx.tol / 10.0))
+            return self.scale * integrate_semi_infinite(self.spec, self.lo, tol).value
+        return self.scale * integrate(self.spec, self.lo, self.hi, ctx.quad_tol).value
 
 
 def _cbrt(x: float) -> float:
@@ -97,7 +88,7 @@ def hermite_cubic_root(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 # record construction
 
-def _jacobi_g2() -> ReductionRecord:
+def _jacobi_g2() -> IdentityRecord:
     a, b = 4.0, 2.0
     ab = a * b
     c = -((math.sqrt(a) - math.sqrt(b)) ** 2) / ((1 - a) * (1 - b))
@@ -109,18 +100,16 @@ def _jacobi_g2() -> ReductionRecord:
     def rhs(x, dl, dh):
         return 1.0 / math.sqrt(dl * dh * (1.0 - c * x))
 
-    return ReductionRecord(
+    return IdentityRecord(
         id="jacobi-g2",
         anchor='"changes to elliptic a genus 2" (degree-2 map), at (a, b) = (4, 2)',
         lhs=IntegralSide(IntegrandSpec(lhs), 0.0, 1.0),
-        rhs=IntegralSide(IntegrandSpec(rhs), 0.0, 1.0),
-        rhs_scale=1.0 / math.sqrt((1 - a) * (1 - b)),
-        substitution=lambda z: (1 - a) * (1 - b) * z / ((z - a) * (z - b)),
-        substitution_points=((0.0, 0.0), (1.0, 1.0)),
+        rhs=IntegralSide(IntegrandSpec(rhs), 0.0, 1.0, 1.0 / math.sqrt((1 - a) * (1 - b))),
+        substitution=(lambda z: (1 - a) * (1 - b) * z / ((z - a) * (z - b)), ((0.0, 0.0), (1.0, 1.0))),
     )
 
 
-def _hermite_ugu() -> ReductionRecord:
+def _hermite_ugu() -> IdentityRecord:
     # needs b >= a**1.5 so the integrand stays real on [z1, inf)
     a, b = 1.0, 2.0
     z1 = hermite_cubic_root(a, b)
@@ -132,15 +121,13 @@ def _hermite_ugu() -> ReductionRecord:
     def rhs(y, dl, _dh):
         return 1.0 / math.sqrt(dl * (y * y - 2.0 * z1 * y + 4.0 * z1 * z1 - 3.0 * a))
 
-    return ReductionRecord(
+    return IdentityRecord(
         id="hermite-ugu",
         anchor='"founded on the first Hermite reduction" (degree-3 map), at (a, b) = (1, 2)',
         lhs=IntegralSide(IntegrandSpec(lhs), z1, math.inf),
-        rhs=IntegralSide(IntegrandSpec(rhs), -2.0 * z1, math.inf),
-        rhs_scale=1.0 / math.sqrt(6.0),
+        rhs=IntegralSide(IntegrandSpec(rhs), -2.0 * z1, math.inf, 1.0 / math.sqrt(6.0)),
         tolerance=1e-7,
-        substitution=lambda z: 2.0 * (z ** 3 - b) / (3.0 * (z * z - a)),
-        substitution_points=((z1, -2.0 * z1),),
+        substitution=(lambda z: 2.0 * (z ** 3 - b) / (3.0 * (z * z - a)), ((z1, -2.0 * z1),)),
     )
 
 
@@ -148,65 +135,60 @@ def _beta_third() -> complex:
     return math.sqrt(math.pi) / 3.0 * gamma(1.0 / 3.0) / gamma(5.0 / 6.0)
 
 
-def _goursat_dig() -> ReductionRecord:
+def _goursat_dig() -> IdentityRecord:
     def lhs(x, dl, _dh):
         return 1.0 / math.sqrt(x * dl * (x * x + x + 1.0))
 
     def rhs(t, _dl, _dh):
         return 1.0 / math.sqrt((t ** 3 + 2.0) * (t ** 3 + 8.0))
 
-    return ReductionRecord(
+    return IdentityRecord(
         id="goursat-dig",
         anchor='"as starting point to find our next identity" (cubic Goursat map)',
         lhs=IntegralSide(IntegrandSpec(lhs), 1.0, math.inf),
-        rhs=IntegralSide(IntegrandSpec(rhs), 1.0, math.inf),
-        rhs_scale=6.0,
+        rhs=IntegralSide(IntegrandSpec(rhs), 1.0, math.inf, 6.0),
         tolerance=1e-7,
         closed_form=_beta_third,
-        substitution=lambda t: (t ** 3 + 2.0) / (3.0 * t),
-        substitution_points=((1.0, 1.0),),
+        substitution=(lambda t: (t ** 3 + 2.0) / (3.0 * t), ((1.0, 1.0),)),
     )
 
 
-def _goursat_gb0() -> ReductionRecord:
+def _goursat_gb0() -> IdentityRecord:
     def lhs(x, _dl, dh):
         return 1.0 / math.sqrt(dh * (1.0 + x + x * x))
 
     def rhs(t, _dl, _dh):
         return 1.0 / math.sqrt((t ** 3 + 2.0) * (t ** 3 + 8.0))
 
-    return ReductionRecord(
+    return IdentityRecord(
         id="goursat-gb0",
         anchor='"slight modification of the Goursat reduction"',
         lhs=IntegralSide(IntegrandSpec(lhs), 0.0, 1.0),
-        rhs=IntegralSide(IntegrandSpec(rhs), 0.0, 1.0),
-        rhs_scale=6.0,
+        rhs=IntegralSide(IntegrandSpec(rhs), 0.0, 1.0, 6.0),
         closed_form=_beta_third,
-        substitution=lambda t: 3.0 * t / (t ** 3 + 2.0),
-        substitution_points=((0.0, 0.0), (1.0, 1.0)),
+        substitution=(lambda t: 3.0 * t / (t ** 3 + 2.0), ((0.0, 0.0), (1.0, 1.0))),
     )
 
 
-def _goursat_011b() -> ReductionRecord:
+def _goursat_011b() -> IdentityRecord:
     def lhs(x, _dl, dh):
         return 1.0 / math.sqrt(dh * (x * x + 3.0 * x + 4.0))
 
     def rhs(t, _dl, _dh):
         return 3.0 * t / math.sqrt((t ** 3 + 1.0) * (4.0 * t ** 3 + t + 1.0))
 
-    return ReductionRecord(
+    return IdentityRecord(
         id="goursat-011b",
         anchor='"which can be rewritten as" (complete-cubic Goursat case)',
         lhs=IntegralSide(IntegrandSpec(lhs), 0.0, 1.0),
         rhs=IntegralSide(IntegrandSpec(rhs), 0.0, 1.0),
         closed_form=lambda: 2.0 ** -0.75
         * incomplete_f(math.acos((9.0 - 4.0 * math.sqrt(2.0)) / 7.0), MODULUS_SERRET_CUBIC),
-        substitution=lambda t: t * t * (3.0 - t) / (1.0 + t ** 3),
-        substitution_points=((0.0, 0.0), (1.0, 1.0)),
+        substitution=(lambda t: t * t * (3.0 - t) / (1.0 + t ** 3), ((0.0, 0.0), (1.0, 1.0))),
     )
 
 
-def _hermite_b0() -> ReductionRecord:
+def _hermite_b0() -> IdentityRecord:
     # a = 1; the genus-2 side carries the stated factor 3a
     def lhs(z, dl, _dh):
         return 3.0 / math.sqrt(dl * (1.0 - z * z) * (3.0 - 4.0 * z * z))
@@ -214,18 +196,17 @@ def _hermite_b0() -> ReductionRecord:
     def rhs(x, dl, dh):
         return 1.0 / math.sqrt(dh * dl * (1.0 - x))
 
-    return ReductionRecord(
+    return IdentityRecord(
         id="hermite-b0",
         anchor="degree-3 Hermite reduction with vanishing constant term, a = 1",
         lhs=IntegralSide(IntegrandSpec(lhs), 0.0, 0.5),
         rhs=IntegralSide(IntegrandSpec(rhs), -1.0, 0.0),
         closed_form=lambda: math.sqrt(2.0) * complete_k(MODULUS_INV_SQRT2),
-        substitution=lambda z: 4.0 * z ** 3 - 3.0 * z,
-        substitution_points=((0.0, 0.0), (0.5, -1.0)),
+        substitution=(lambda z: 4.0 * z ** 3 - 3.0 * z, ((0.0, 0.0), (0.5, -1.0))),
     )
 
 
-def _hermite_full() -> ReductionRecord:
+def _hermite_full() -> IdentityRecord:
     a = 28.0 / 3.0
     s73 = math.sqrt(7.0 / 3.0)
     edge = 2.0 * s73                     # sqrt(28/3)
@@ -240,15 +221,13 @@ def _hermite_full() -> ReductionRecord:
         coeff = math.sqrt(3.0) / 14.0 * math.sqrt((s73 - 1.0) * (7.0 / 3.0 + s73))
         return coeff * complete_k(MODULUS_HERMITE_QUARTIC)
 
-    return ReductionRecord(
+    return IdentityRecord(
         id="hermite-full",
         anchor="degree-3 Hermite reduction with both constants fixed (a = 28/3, b = -48)",
         lhs=IntegralSide(IntegrandSpec(lhs), 1.0, s73),
-        rhs=IntegralSide(IntegrandSpec(rhs), -edge, -18.0 / 7.0),
-        rhs_scale=1.0 / math.sqrt(21.0),
+        rhs=IntegralSide(IntegrandSpec(rhs), -edge, -18.0 / 7.0, 1.0 / math.sqrt(21.0)),
         closed_form=closed,
-        substitution=lambda z: (3.0 * z ** 3 - 21.0 * z) / 7.0,
-        substitution_points=((1.0, -18.0 / 7.0), (s73, -edge)),
+        substitution=(lambda z: (3.0 * z ** 3 - 21.0 * z) / 7.0, ((1.0, -18.0 / 7.0), (s73, -edge))),
     )
 
 
@@ -272,7 +251,7 @@ def _g3_map(x: float) -> float:
     return psi / (12.0 * x * (x * x - 1.0) ** 2)
 
 
-def _hermite_g3() -> ReductionRecord:
+def _hermite_g3() -> IdentityRecord:
     pref = 0.4 * math.sqrt(0.6)
 
     def rhs(x, _dl, dh):
@@ -281,14 +260,13 @@ def _hermite_g3() -> ReductionRecord:
             / math.sqrt(x * dh * (_G3_HI + x) * (x * x - _G3_P1 ** 2) * (_G3_P2 ** 2 - x * x))
         )
 
-    return ReductionRecord(
+    return IdentityRecord(
         id="hermite-g3",
         anchor='"reducing a hyperelliptic integral of genus 3" (degree-6 map), a = 1, b = 0',
         lhs=_CUBIC_SIDE,
         rhs=IntegralSide(IntegrandSpec(rhs), _G3_LO, _G3_HI),
         closed_form=lambda: (4.0 / 3.0) ** 0.25 * complete_k(MODULUS_INV_SQRT2),
-        substitution=_g3_map,
-        substitution_points=((_G3_LO, -math.sqrt(3.0)), (_G3_HI, 0.0)),
+        substitution=(_g3_map, ((_G3_LO, -math.sqrt(3.0)), (_G3_HI, 0.0))),
     )
 
 
@@ -303,24 +281,23 @@ def _g4_map(x: float) -> float:
     )
 
 
-def _maier_g4() -> ReductionRecord:
+def _maier_g4() -> IdentityRecord:
     def rhs(u, dl, dh):
         return (
             5.0 * (273.0 - u) * u ** -0.25
             / math.sqrt((624.0 - u) * dh * dl * (_G4_FAR - u))
         )
 
-    return ReductionRecord(
+    return IdentityRecord(
         id="maier-g4",
         anchor='"Restricting ourselves to the integral where the cubic" (degree-10 map)',
         lhs=_CUBIC_SIDE,
         rhs=IntegralSide(IntegrandSpec(rhs), _G4_LO, 84.0),
         closed_form=lambda: (4.0 / 3.0) ** 0.25 * complete_k(MODULUS_INV_SQRT2),
-        substitution=_g4_map,
-        substitution_points=(
+        substitution=(_g4_map, (
             (-2.0 * math.sqrt(21.0), 0.0),
             (5.0 * math.sqrt(3.0) - 2.0 * math.sqrt(66.0), -math.sqrt(3.0)),
-        ),
+        )),
     )
 
 
@@ -332,7 +309,7 @@ def _a_side(n: int, a: int) -> IntegralSide:
     return IntegralSide(IntegrandSpec(g), 0.0, 1.0)
 
 
-def _b_side(n: int, a: int) -> IntegralSide:
+def _b_side(n: int, a: int, scale: float = 1.0) -> IntegralSide:
     limit = 1e290 ** (1.0 / n)
 
     def g(t, _dl, _dh):
@@ -340,51 +317,32 @@ def _b_side(n: int, a: int) -> IntegralSide:
             return t ** (a - 1 - 0.5 * n)
         return t ** (a - 1) / math.sqrt(1.0 + t ** n)
 
-    return IntegralSide(IntegrandSpec(g), 0.0, math.inf)
+    return IntegralSide(IntegrandSpec(g), 0.0, math.inf, scale)
 
 
-def _legendre_z1(n: int, a: int) -> ReductionRecord:
-    return ReductionRecord(
+def _legendre_z1(n: int, a: int) -> IdentityRecord:
+    return IdentityRecord(
         id=f"legendre-z1[n={n},a={a}]",
         anchor='"two remarkable formulae due to Legendre", first relation',
         lhs=_a_side(n, a),
-        rhs=_b_side(n, a),
-        rhs_scale=math.cos(a * math.pi / n),
+        rhs=_b_side(n, a, math.cos(a * math.pi / n)),
         tolerance=1e-7,
     )
 
 
-def _legendre_z2(n: int, a: int) -> ReductionRecord:
-    return ReductionRecord(
+def _legendre_z2(n: int, a: int) -> IdentityRecord:
+    # the product relation: lhs is the product of the two sides, rhs its closed form
+    b_side, a_side = _b_side(n, n - a), _a_side(n, a)
+    return IdentityRecord(
         id=f"legendre-z2[n={n},a={a}]",
         anchor='"two remarkable formulae due to Legendre", product relation',
-        lhs=_b_side(n, n - a),
-        rhs=_a_side(n, a),
-        combine="product",
-        closed_form=lambda: 2.0 * math.pi / (n * (2 * a - n) * math.sin(math.pi * a / n)),
+        lhs=lambda ctx: b_side(ctx) * a_side(ctx),
+        rhs=lambda ctx: 2.0 * math.pi / (n * (2 * a - n) * math.sin(math.pi * a / n)),
         tolerance=1e-7,
     )
 
 
-def _check_record(r: ReductionRecord) -> IdentityRecord:
-    """The reduction as a two-plan record: lhs = scale*rhs, or lhs*rhs = closed form."""
-    if r.combine == "product":
-        return IdentityRecord(
-            r.id, r.anchor,
-            lambda ctx: _side_value(r.lhs, ctx) * _side_value(r.rhs, ctx),
-            lambda ctx: r.closed_form(),
-            r.tolerance,
-        )
-    return IdentityRecord(
-        r.id, r.anchor,
-        lambda ctx: _side_value(r.lhs, ctx),
-        lambda ctx: r.rhs_scale * _side_value(r.rhs, ctx),
-        r.tolerance,
-        closed_form=r.closed_form,
-    )
-
-
-def reduction_registry() -> list[ReductionRecord]:
+def reduction_registry() -> list[IdentityRecord]:
     """All reduction records (the two Legendre relations carry small grids)."""
     return list(REDUCTIONS.values())
 
@@ -405,13 +363,11 @@ def check_all_reductions(
 
 def substitution_errors(id: str) -> list[float]:
     """|image - expected| for each declared endpoint of the record's map."""
-    record = lookup(REDUCTIONS, id)
-    if record.substitution is None:
+    substitution = lookup(REDUCTIONS, id).substitution
+    if substitution is None:
         return []
-    return [
-        abs(record.substitution(x) - expected)
-        for x, expected in record.substitution_points
-    ]
+    map_, points = substitution
+    return [abs(map_(x) - expected) for x, expected in points]
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +378,13 @@ def _fd_plan(pref: float, a, bs, c, xs) -> Plan:
     return lambda ctx: pref * lauricella_fd(spec, quad_tol=ctx.quad_tol)
 
 
-def _quad_plan(g, lo: float, hi: float) -> Plan:
-    side = IntegralSide(IntegrandSpec(g), lo, hi)
-    return lambda ctx: _side_value(side, ctx)
-
-
 def _quintic_case(tag: str, a, b, c, y, d, e) -> IdentityRecord:
     def g(z, dl, _dh):
         return 1.0 / math.sqrt((z - a) * (z - b) * dl * (d - z) * (e - z))
 
     return IdentityRecord(
         f"rep-quintic[{tag}]", "order-4 representation of the quintic-radical integral",
-        _quad_plan(g, c, y),
+        IntegralSide(IntegrandSpec(g), c, y),
         _fd_plan(
             2.0 * math.sqrt((y - c) / ((c - a) * (c - b) * (d - c) * (e - c))),
             0.5, (0.5,) * 4, 1.5,
@@ -451,7 +402,7 @@ def _sextic_case(tag: str, a, b, c, y, m) -> IdentityRecord:
     # the very quadrature cross-check this record performs)
     return IdentityRecord(
         f"rep-sextic[{tag}]", "order-3 representation of the even-sextic-radical integral",
-        _quad_plan(g, y, b),
+        IntegralSide(IntegrandSpec(g), y, b),
         _fd_plan(
             y ** (m - 1.5) * math.sqrt(delta / ((y * y - a * a) * (c * c - y * y))),
             1.0, (0.75 - 0.5 * m, 0.5, 0.5), 1.5,
@@ -466,7 +417,7 @@ def _quartic_case(tag: str, a, b, c, d, m) -> IdentityRecord:
 
     return IdentityRecord(
         f"rep-quartic[{tag}]", "order-3 representation of the complete quartic-radical integral",
-        _quad_plan(g, a, b),
+        IntegralSide(IntegrandSpec(g), a, b),
         _fd_plan(
             math.pi * a ** m / math.sqrt((c - a) * (d - a)),
             0.5, (-m, 0.5, 0.5), 1.0,
@@ -483,7 +434,7 @@ def representation_formulas_check() -> list[EvalReport]:
 # ---------------------------------------------------------------------------
 # the registries, id -> record, built once at import
 
-REDUCTIONS: dict[str, ReductionRecord] = {r.id: r for r in (
+REDUCTIONS: dict[str, IdentityRecord] = {r.id: r for r in (
     _jacobi_g2(),
     _hermite_ugu(),
     _goursat_dig(),
@@ -509,6 +460,4 @@ REPRESENTATIONS: dict[str, IdentityRecord] = {r.id: r for r in (
 )}
 
 # everything `lauricella reduce` checks
-CHECKS: dict[str, IdentityRecord] = {
-    **{id: _check_record(r) for id, r in REDUCTIONS.items()}, **REPRESENTATIONS,
-}
+CHECKS: dict[str, IdentityRecord] = {**REDUCTIONS, **REPRESENTATIONS}

@@ -1245,6 +1245,12 @@ class TestFloatRange:
         lambda: appell_f1(-213.57164502117814 + 265.8029360581223j, -250.06857550706715,
                           54.32954763941024 - 287.3307065578978j, 37.58005995714973 + 66.46090522028953j,
                           0.03377454495253442, -3.880059559813708 + 4.751702520426946e-16j),
+        # the terms pass 1e308 and then turn nan: the sum stops at the first such term
+        # instead of running its whole term budget
+        lambda: hyp2f1(-2000, 1, 1, 0.5),
+        lambda: hyp2f1(-2000, 1 + 1j, 1, 0.5),
+        lambda: appell_f1(-2000, 1, 1, 1, 0.5, 0.3),
+        lambda: appell_f1(1, -2000, 1, 1, 0.5, 0.3),
     ])
     def test_domain_error(self, evaluate):
         with pytest.raises(DomainError, match="floating-point range"):

@@ -48,6 +48,25 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="not both"):
             IntegrandSpec(evaluator=g, distance_evaluator=g)
 
+    def test_non_finite_singularities_rejected(self):
+        # a nan split was once accepted, and integrate then dropped it
+        for points in ((math.nan,), (0.5, math.inf), (-math.inf, 0.5)):
+            with pytest.raises(ValueError, match="finite"):
+                IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: 1.0, interior_singularities=points)
+
+    def test_non_finite_limits_rejected_before_any_call(self):
+        # integrate_semi_infinite(spec, -inf) once returned 0j with estimate 0 for sqrt(pi),
+        # and integrate(spec, 0, inf) blamed a sample at x = nan
+        calls = []
+        spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: calls.append(x) or math.exp(-x * x))
+        for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="need finite lo < hi"):
+                integrate(spec, lo, hi)
+        for lo in (-math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError, match="need finite lo < hi"):
+                integrate_semi_infinite(spec, lo)
+        assert calls == []
+
     def test_bad_interval_and_tol(self):
         spec = IntegrandSpec(evaluator=lambda x, _d_lo, _d_hi: 1.0)
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from lauricella import check_reduction, reduction_registry, representation_formulas_check
+from lauricella.identities import EvalContext
 from lauricella.reductions import (
     check_all_reductions,
     hermite_cubic_root,
@@ -30,17 +31,19 @@ class TestRegistry:
 
     def test_goursat_dig_shape(self):
         (record,) = [r for r in reduction_registry() if r.id == "goursat-dig"]
-        assert record.rhs_scale == 6.0
+        assert record.rhs.scale == 6.0 and record.lhs.scale == 1.0
         assert record.lhs.lo == 1.0 and math.isinf(record.lhs.hi)
         assert record.rhs.lo == 1.0 and math.isinf(record.rhs.hi)
 
     def test_z2_product_form(self):
         (record,) = [r for r in reduction_registry() if r.id == "legendre-z2[n=8,a=5]"]
-        assert record.combine == "product"
-        assert record.closed_form() == pytest.approx(
+        # lhs is the product of the two integral sides; rhs is the closed form
+        assert record.closed_form is None
+        closed = record.rhs(EvalContext())
+        assert closed == pytest.approx(
             2.0 * math.pi / (8.0 * 2.0 * math.sin(5.0 * math.pi / 8.0)), rel=1e-15
         )
-        assert record.closed_form() == pytest.approx(0.4250544230926846, rel=1e-14)
+        assert closed == pytest.approx(0.4250544230926846, rel=1e-14)
 
 
 class TestChecks:
@@ -97,7 +100,8 @@ class TestSubstitutions:
 
     def test_maier_map_images(self):
         (record,) = [r for r in reduction_registry() if r.id == "maier-g4"]
-        images = [record.substitution(x) for x, _ in record.substitution_points]
+        map_, points = record.substitution
+        images = [map_(x) for x, _ in points]
         assert images[0] == pytest.approx(0.0, abs=1e-12)
         assert images[1] == pytest.approx(-math.sqrt(3.0), rel=1e-13)
 
