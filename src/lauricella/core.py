@@ -254,8 +254,9 @@ def principal_pow(base: complex, exponent: complex, side: BranchSide = DEFAULT_S
     """base**exponent with the principal logarithm.
 
     When ``base`` lies on the cut (-inf, 0], the argument is taken as +pi for
-    ``side=ABOVE`` and -pi for ``side=BELOW``.  A value past the float
-    range raises :class:`DomainError`.
+    ``side=ABOVE`` and -pi for ``side=BELOW``.  A value that is not finite,
+    from a value past the float range or from an inf or nan input, raises
+    :class:`DomainError`.
     """
     base = complex(base)
     exponent = complex(exponent)
@@ -266,16 +267,20 @@ def principal_pow(base: complex, exponent: complex, side: BranchSide = DEFAULT_S
             return complex(0.0, 0.0)
         raise DomainError("0 cannot be raised to an exponent with Re <= 0")
     if exponent == 1:
-        return base
-    if base.imag == 0.0 and base.real < 0.0:
-        arg = math.pi if side is BranchSide.ABOVE else -math.pi
-        log = complex(math.log(-base.real), arg)
+        value = base
     else:
-        log = cmath.log(base)
-    try:
-        return cmath.exp(exponent * log)
-    except OverflowError:
-        raise DomainError(f"{base}**{exponent} exceeds the floating-point range") from None
+        if base.imag == 0.0 and base.real < 0.0:
+            arg = math.pi if side is BranchSide.ABOVE else -math.pi
+            log = complex(math.log(-base.real), arg)
+        else:
+            log = cmath.log(base)
+        try:
+            value = cmath.exp(exponent * log)
+        except OverflowError:
+            raise DomainError(f"{base}**{exponent} exceeds the floating-point range") from None
+    if not cmath.isfinite(value):
+        raise DomainError(f"{base}**{exponent} is not a finite number: {value}")
+    return value
 
 
 def _snap(value: float) -> float:

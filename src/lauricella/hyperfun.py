@@ -82,6 +82,7 @@ _EPS = sys.float_info.epsilon
 # rounding of a connection term's exponent, per unit size of each logarithm in it
 _CONNECTION_ROUNDING = 8.0 * _EPS
 _LOG_RANGE = 700.0  # |log| of a connection factor that keeps it a normal float
+_SQUARE_RANGE = 2.0 ** 500  # |x| below which |1 - x u|**2 is a float for every u in [0, 1]
 
 
 class HyperSpec:
@@ -378,15 +379,16 @@ def _euler_integrand(a: complex, bs: Sequence[complex], c: complex, xs: Sequence
 def _euler_panels(points: list, bs: Sequence[complex], xs: Sequence[complex]) -> IntegrandSpec:
     """The Euler integrand with the singular points `points` (`_singular_points`).
 
-    The points cut [0, 1] into panels.  Each panel gets its own closure with
-    every factor's form fixed in advance (see `_real_panel`): the distance
-    form at the panel's own two ends, the line form, negated right of its
-    point, at every other singular point, and one constant phase, the turns
-    of the points left of the panel.  The factors of the arguments off the
-    cut are the same on every panel.  The spec's evaluator, g(u, d_lo, d_hi),
-    either is the one panel's closure or dispatches on the node's panel
-    midpoint: u itself may have rounded onto a shared boundary, the midpoint
-    never does.
+    The points cut [0, 1] into panels, and every factor takes a form fixed
+    per panel in advance: the distance form at the panel's own two ends, the
+    line form, negated right of its point, at every other singular point,
+    and one constant phase from the turns of the points left of the panel.
+    Each panel is one row (e_lo, k_lo, e_hi, k_hi, line terms, turns) of the
+    integral's table.  The factors of the arguments off the cut are the same
+    on every panel.  With real exponents the evaluator is `_real_panel`'s,
+    in float arithmetic, and otherwise `_complex_panel`'s.  Either finds a
+    node's row by the node's panel midpoint, u + (d_hi - d_lo)/2: u itself
+    may have rounded onto a shared boundary, the midpoint never does.
     """
     from .quadrature import IntegrandSpec
 
@@ -398,16 +400,15 @@ def _euler_panels(points: list, bs: Sequence[complex], xs: Sequence[complex]) ->
             continue
         if x.imag == 0.0 and x.real < 1.0:
             lines.append((_real_if_real(-b), 1.0, -x.real))
-        elif x.imag != 0.0 and b.imag == 0.0 and (b, x.conjugate()) in unpaired:
+        elif x.imag != 0.0 and b.imag == 0.0 and abs(x) < _SQUARE_RANGE and (b, x.conjugate()) in unpaired:
             # (1-xu)**(-b) (1-x'u)**(-b) = |1-xu|**(-2b) for x' = conj(x), real b
             unpaired.remove((b, x.conjugate()))
             pairs.append((-b.real, x.real, x.imag))
         else:
             unpaired.append((b, x))
-    rest = [(_real_if_real(-b), x) for b, x in unpaired]
     boundaries = tuple(sorted(s for s, *_ in points))
 
-    pieces = []
+    rows = []
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):
         panel_lines = list(lines)
         past = 0.0                                   # sum of the turns of the points at or left of lo
@@ -420,39 +421,75 @@ def _euler_panels(points: list, bs: Sequence[complex], xs: Sequence[complex]) ->
                 panel_lines.append((e, -k0, -k1) if s < lo else (e, k0, k1))
             if s <= lo:
                 past += turn
-        panel_lines = [term for term in panel_lines if term[0] != 0.0]
-        exponents = (e_lo, e_hi, *(term[0] for term in panel_lines))
-        phase_log = 1j * math.pi * past if past != 0.0 else 0.0
-        if not rest and all(isinstance(e, float) for e in exponents):
-            phase = cmath.exp(phase_log) if phase_log else 1.0
-            g = _real_panel(e_lo, k_lo, e_hi, k_hi, panel_lines, pairs, phase)
-        else:
-            g = _complex_panel(e_lo, k_lo, e_hi, k_hi, panel_lines, pairs, rest, phase_log)
-        pieces.append(g)
+        rows.append((e_lo, k_lo, e_hi, k_hi, [term for term in panel_lines if term[0] != 0.0], past))
 
-    if len(pieces) == 1:
-        g = pieces[0]
+    if (
+        all(isinstance(e, float) for _, _, e, _, _ in points)
+        and all(isinstance(e, float) for e, _, _ in lines)
+        and all(b.imag == 0.0 and abs(x) < _SQUARE_RANGE for b, x in unpaired)
+    ):
+        arcs = [(-0.5 * b.real, b.real, x.real, x.imag) for b, x in unpaired]
+        g = _real_panel(boundaries, rows, pairs, arcs)
     else:
-        table = [pieces[0], *pieces, pieces[-1]]   # bisect_right index -> panel
-
-        def g(u: float, d_lo: float, d_hi: float) -> complex:
-            return table[bisect_right(boundaries, u + 0.5 * (d_hi - d_lo))](u, d_lo, d_hi)
-
+        g = _complex_panel(boundaries, rows, pairs, [(_real_if_real(-b), x) for b, x in unpaired])
     return IntegrandSpec(evaluator=g, interior_singularities=boundaries[1:-1])
 
 
 # A panel's integrand is exp of a sum of exponent * log(magnitude) terms: the
 # magnitudes are k_lo d_lo and k_hi d_hi at the panel ends, k0 + k1 u for each
-# line term and |1 - x u|**2 for each conjugate pair, all positive reals, and
-# 1 - x u under the complex logarithm for the rest.  The real sum is kept in
-# base 2: math.log2 costs about a third of math.log on CPython 3.11, whose
-# math.log parses an optional base argument.
+# line term and |1 - x u|**2 for each conjugate pair, all positive reals.  The
+# real sum is kept in base 2: math.log2 costs about a third of math.log on
+# CPython 3.11, whose math.log parses an optional base argument.  Any other
+# argument off the real axis has, for real b, the magnitude |1 - x u|**2 with
+# exponent -b/2 and the angle b atan2(Im x u, 1 - Re x u) in `_real_panel`,
+# and 1 - x u under the complex logarithm in `_complex_panel`.  An argument
+# with |x| >= _SQUARE_RANGE, whose |1 - x u|**2 can leave the float range,
+# takes the complex logarithm too.  Each evaluator reads its panel's row from
+# the table padded at both ends, so that bisect_right's index is the row; an
+# integral of one panel skips the bisection.
 
-def _real_panel(e_lo, k_lo, e_hi, k_hi, lines, pairs, phase):
-    """Real exponents and no complex logarithm: 2**(log2 sum) * fixed phase."""
+def _panel_table(rows, phase):
+    """The rows with their turns mapped by `phase`: (table padded for bisect_right, the row or None).
+
+    The second item is the one row of an integral of one panel, and None
+    when there are more.
+    """
+    table = [(*row[:5], phase(row[5])) for row in rows]
+    return [table[0], *table, table[-1]], table[0] if len(table) == 1 else None
+
+
+def _real_panel(boundaries, rows, pairs, arcs):
+    """Real exponents, in float arithmetic: 2**(log2 sum) times the phase.
+
+    ``arcs`` holds (-b/2, b, Re x, Im x) for each argument off the real axis
+    without its conjugate.  With none the panel's phase is a fixed factor,
+    1.0 on a panel with no turn, and the sample is 2**t times it.  With some
+    the phase is an angle, pi times the turns plus each arc's angle, and the
+    sample is one ``cmath.rect``.
+    """
     log2 = math.log2
+    if not arcs:
+        table, only = _panel_table(rows, lambda turns: cmath.exp(1j * math.pi * turns) if turns != 0.0 else 1.0)
+
+        def g(u: float, d_lo: float, d_hi: float) -> complex:
+            e_lo, k_lo, e_hi, k_hi, lines, phase = only or table[bisect_right(boundaries, u + 0.5 * (d_hi - d_lo))]
+            t = e_lo * log2(k_lo * d_lo) + e_hi * log2(k_hi * d_hi)
+            for e, k0, k1 in lines:
+                t += e * log2(k0 + k1 * u)
+            for e, x_re, x_im in pairs:
+                w = 1.0 - x_re * u
+                z = x_im * u
+                t += e * log2(w * w + z * z)
+            return 2.0 ** t * phase
+
+        return g
+
+    atan2 = math.atan2
+    rect = cmath.rect
+    table, only = _panel_table(rows, lambda turns: math.pi * turns.real)
 
     def g(u: float, d_lo: float, d_hi: float) -> complex:
+        e_lo, k_lo, e_hi, k_hi, lines, phase = only or table[bisect_right(boundaries, u + 0.5 * (d_hi - d_lo))]
         t = e_lo * log2(k_lo * d_lo) + e_hi * log2(k_hi * d_hi)
         for e, k0, k1 in lines:
             t += e * log2(k0 + k1 * u)
@@ -460,18 +497,25 @@ def _real_panel(e_lo, k_lo, e_hi, k_hi, lines, pairs, phase):
             w = 1.0 - x_re * u
             z = x_im * u
             t += e * log2(w * w + z * z)
-        return 2.0 ** t * phase
+        for half, b, x_re, x_im in arcs:
+            w = 1.0 - x_re * u
+            z = x_im * u
+            t += half * log2(w * w + z * z)
+            phase += b * atan2(z, w)
+        return rect(2.0 ** t, phase)
 
     return g
 
 
-def _complex_panel(e_lo, k_lo, e_hi, k_hi, lines, pairs, rest, phase_log):
-    """General case: one cmath.exp of the log sum plus the fixed phase."""
+def _complex_panel(boundaries, rows, pairs, rest):
+    """Complex exponents: one cmath.exp of the log sum plus the panel's phase."""
     log2 = math.log2
     clog = cmath.log
     cexp = cmath.exp
+    table, only = _panel_table(rows, lambda turns: 1j * math.pi * turns if turns != 0.0 else 0.0)
 
     def g(u: float, d_lo: float, d_hi: float) -> complex:
+        e_lo, k_lo, e_hi, k_hi, lines, phase_log = only or table[bisect_right(boundaries, u + 0.5 * (d_hi - d_lo))]
         # the real sum as in _real_panel, inline: a shared helper costs a call per sample
         t = e_lo * log2(k_lo * d_lo) + e_hi * log2(k_hi * d_hi)
         for e, k0, k1 in lines:
@@ -805,7 +849,9 @@ def fd_order_reduce(spec: HyperSpec, side: BranchSide = DEFAULT_SIDE) -> tuple[H
 # Eulerian integral closed forms
 
 def eulerian_a(n: int, a: complex, b: complex) -> complex:
-    """Closed form of int_0^1 t**(a-1) (1 - t**n)**(-b) dt, a `_gamma_quotient`."""
+    """Closed form of int_0^1 t**(a-1) (1 - t**n)**(-b) dt, a `_gamma_quotient`, for n > 0."""
+    if not n > 0:
+        raise DomainError(f"need n > 0, got n = {n}")
     a, b = complex(a), complex(b)
     if a.real <= 0.0 or b.real >= 1.0:
         raise DomainError(f"need Re a > 0 and Re b < 1, got a = {a}, b = {b}")

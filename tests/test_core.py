@@ -294,6 +294,11 @@ class TestPrincipalPow:
         with pytest.raises(DomainError, match="floating-point range"):
             principal_pow(base, exponent)
 
+    @pytest.mark.parametrize("base, exponent", [(math.nan, 2.0), (2.0, math.inf), (math.inf, 1.0), (1j, complex(0, math.nan))])
+    def test_non_finite_value_is_domain_error(self, base, exponent):
+        with pytest.raises(DomainError, match="not a finite number"):
+            principal_pow(base, exponent)
+
     @given(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False))
     @settings(max_examples=80, deadline=None)
     def test_exponents_zero_and_one_exact(self, base):

@@ -450,6 +450,11 @@ class TestEulerianClosedForms:
     def test_domains(self):
         with pytest.raises(DomainError):
             eulerian_a(3, -1.0, 0.5)
+        for n in (0, -2, math.nan):
+            with pytest.raises(DomainError, match="need n > 0"):
+                eulerian_a(n, 1.0, 0.5)
+        # the closed form holds for any n > 0: int_0^1 (1 - sqrt(t))**(-1/2) dt = 8/3
+        assert eulerian_a(0.5, 1.0, 0.5) == pytest.approx(8.0 / 3.0, rel=1e-14)
         with pytest.raises(DomainError):
             eulerian_b(2, 3.0, 0.5)
 
@@ -762,6 +767,93 @@ class TestEulerIntegrand:
         assert abs(got - want) <= 1e-13 * abs(want), (got, want)
         if real and lo == 0.0:
             assert isinstance(got, float)  # the real path, on a panel with no phase
+
+
+def _float_kernel_points():
+    """Seeded F1/FD points with real a, b and c and arguments off the real axis, as (kind, point).
+
+    Kinds: arguments with no conjugate, conjugate pairs with equal and with
+    unequal b, and arguments off the axis mixed with splits on the cut.  The
+    sides alternate, so each kind is taken from above and from below.
+    """
+    from inputs import point
+
+    rng = random.Random(25)
+
+    def off_axis():
+        return cmath.rect(rng.uniform(0.3, 6.0), rng.uniform(0.15, math.pi - 0.15) * rng.choice((1, -1)))
+
+    out = []
+    for i, kind in enumerate(("unpaired", "unpaired", "pair", "pair_unequal_b", "cut_mix", "cut_mix") * 2):
+        order = 2 + i // 6
+        a = rng.uniform(0.2, 2.0)
+        c = a + rng.uniform(0.3, 2.0)
+        bs = [rng.uniform(-0.9, 1.5) for _ in range(order)]
+        xs = [off_axis() for _ in range(order)]
+        if kind.startswith("pair"):
+            xs[1] = xs[0].conjugate()
+            bs[1] = bs[0] if kind == "pair" else bs[0] + 0.25
+        elif kind == "cut_mix":
+            # one split per argument on the cut, each integrable (b < 1)
+            xs[1:] = [complex(rng.uniform(1.2, 6.0)) for _ in range(order - 1)]
+            bs[1:] = [rng.uniform(-0.9, 0.9) for _ in range(order - 1)]
+        out.append((kind, point(kind, a, bs, c, xs, ("above", "below")[i % 2])))
+    return out
+
+
+class TestFloatKernel:
+    """The Euler integrand of real a, b and c in float arithmetic, against the benchmark's mpmath oracle."""
+
+    @pytest.fixture
+    def oracle(self, monkeypatch):
+        import os
+
+        pytest.importorskip("mpmath")
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+        import oracle  # perfbench/oracle.py, used as it is
+
+        return oracle
+
+    def test_values_match_the_oracle(self, oracle):
+        kinds = set()
+        for kind, p in _float_kernel_points():
+            side = BranchSide(p.side)
+            spec = hyperfun._euler_integrand(p.a, p.bs, p.c, p.xs, side)
+            assert spec.evaluator.__qualname__.startswith("_real_panel."), (kind, p)
+            want = oracle.reference(p)
+            try:
+                got = hyperfun._euler_fd(p.a, p.bs, p.c, p.xs, side, 1e-13)
+            except (DomainError, QuadratureError):
+                continue
+            assert abs(got - want) <= 1e-12 * abs(want), (kind, p, got, want)
+            kinds.add(kind)
+        assert kinds == {"unpaired", "pair", "pair_unequal_b", "cut_mix"}
+
+    def test_an_argument_past_the_square_range_takes_the_complex_logarithm(self):
+        # |1 - x u|**2 would overflow: the argument goes to the complex kernel, pair or not
+        for bs, xs in (((0.1, 0.2), (1e200j, -0.5)), ((0.1, 0.1), (1e200j, -1e200j))):
+            spec = hyperfun._euler_integrand(0.5, [complex(b) for b in bs], 1.5, [complex(x) for x in xs], DEFAULT_SIDE)
+            assert spec.evaluator.__qualname__.startswith("_complex_panel.")
+        # mpmath at 30 digits; for the pair 0.5 X**-0.2 / 0.3 to ~1e-40 relative
+        assert appell_f1(0.5, 0.1, 0.2, 1.5, 1e200j, -0.5) == pytest.approx(
+            1.2042808082888027659e-20 + 1.9073934181440222538e-21j, rel=1e-12)
+        assert appell_f1(0.5, 0.1, 0.1, 1.5, 1e200j, -1e200j) == pytest.approx(1e-40 / 0.6, rel=1e-12)
+
+    @pytest.mark.parametrize("evaluate, want", [
+        # Euler values with no unpaired complex argument, frozen bit for bit before the float kernel
+        (lambda: appell_f1(0.5, 0.3, 0.4, 1.5, -20.0, -30.0), "(0.3635758121052847+0j)"),
+        (lambda: appell_f1(0.5, 0.3, 0.4, 1.5, 2.0, 5.0, BranchSide.BELOW),     # three panels
+         "(0.6566236769025316-0.7917669639226539j)"),
+        (lambda: appell_f1(1.25, -0.6, 0.7, 2.0, 4.0, -0.5, BranchSide.ABOVE),  # two panels
+         "(-0.2186262599302249-0.897966029981226j)"),
+        (lambda: hyp2f1(0.5, 0.5, 1.5, 2.0, BranchSide.ABOVE), "(1.110720734539592+0.6232252401402302j)"),
+        (lambda: lauricella_fd(HyperSpec(0.7, (0.3, -0.4, 0.5), 1.9, (3.0, -2.0, 1.5)), BranchSide.ABOVE),
+         "(1.0327070167930448+1.546399833620133j)"),
+        # a conjugate pair keeps its one log2
+        (lambda: appell_f1(0.5, 0.3, 0.3, 1.5, 2 + 1j, 2 - 1j), "(1.212483191501369+0j)"),
+    ])
+    def test_values_with_no_unpaired_complex_argument_keep_their_bits(self, evaluate, want):
+        assert repr(evaluate()) == want
 
 
 @st.composite
