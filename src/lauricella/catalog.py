@@ -24,7 +24,7 @@ from .elliptic import (
     incomplete_f,
 )
 from .hyperfun import HyperSpec, appell_f1, hyp2f1, lauricella_fd
-from .identities import Erratum, EvalContext, IdentityRecord
+from .identities import Erratum, EvalContext, IdentityRecord, _hyper_plan
 
 __all__ = ["RECORDS"]
 
@@ -41,16 +41,18 @@ I = 1j
 # plan helpers
 
 def _2f1(a, b, c, x):
-    return lambda ctx: hyp2f1(a, b, c, x, quad_tol=ctx.quad_tol)
+    return _hyper_plan("2f1", HyperSpec(a, (b,), c, (x,)),
+                       lambda tol: hyp2f1(a, b, c, x, quad_tol=tol))
 
 
 def _f1(a, b1, b2, c, x1, x2):
-    return lambda ctx: appell_f1(a, b1, b2, c, x1, x2, quad_tol=ctx.quad_tol)
+    return _hyper_plan("f1", HyperSpec(a, (b1, b2), c, (x1, x2)),
+                       lambda tol: appell_f1(a, b1, b2, c, x1, x2, quad_tol=tol))
 
 
 def _fd(a, bs, c, xs):
     spec = HyperSpec(a, tuple(bs), c, tuple(xs))
-    return lambda ctx: lauricella_fd(spec, quad_tol=ctx.quad_tol)
+    return _hyper_plan("fd", spec, lambda tol: lauricella_fd(spec, quad_tol=tol))
 
 
 def _const(fn):

@@ -10,6 +10,15 @@ judges the record only as declared.  A record that fails without a declared
 erratum stays ``fail``, and its note gives the ratio lhs/rhs so that a printed
 factor slip reads off directly.  ``run_all`` runs a check over a registry,
 ordered by id.
+
+One ``run_all`` call evaluates each distinct value once: the leaf plans (a
+2F1, F1 or FD at given parameters, arguments and ``quad_tol``, or one
+integral at given limits and tolerance) look their value up in a store that
+lasts for that call alone, through ``_once_per_run`` and ``_hyper_plan``.  The evaluators are
+deterministic, so every reported number is the one a record run alone gives.
+A record's ``elapsed`` is its own time, so a record whose values were
+computed earlier in the run reads near 0.  Outside a run, as in `verify`,
+every plan computes its values.
 """
 
 from __future__ import annotations
@@ -17,8 +26,9 @@ from __future__ import annotations
 import fnmatch
 import math
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Hashable, Optional
 
 from .core import DEFAULT_QUAD_TOL, MIN_QUAD_TOL
 
@@ -46,6 +56,34 @@ class EvalContext:
 
 
 Plan = Callable[[EvalContext], complex]
+
+# the values computed so far in the current `run_all` call; None outside one
+_RUN_VALUES: ContextVar[Optional[dict]] = ContextVar("lauricella_run_values", default=None)
+
+
+def _once_per_run(key: Hashable, compute: Callable[[], complex]) -> complex:
+    """``compute()``, evaluated once per `run_all` call for each `key`.
+
+    `key` must name the evaluation's full input.  Outside a run it computes
+    every time, and a value that raises is never stored.
+    """
+    values = _RUN_VALUES.get()
+    if values is None:
+        return compute()
+    if key not in values:
+        values[key] = compute()
+    return values[key]
+
+
+def _hyper_plan(function: str, inputs: object, evaluate: Callable[[float], complex]) -> Plan:
+    """The plan ``evaluate(ctx.quad_tol)``, computed once per run for its inputs.
+
+    `inputs` holds the evaluation's coerced parameters and arguments (a
+    `HyperSpec`).  They key the value by their repr, which tells -0.0 from
+    0.0 where == does not, since a branch cut can turn on that sign.
+    """
+    key = (function, repr(inputs))
+    return lambda ctx: _once_per_run((key, ctx.quad_tol), lambda: evaluate(ctx.quad_tol))
 
 
 @dataclass(frozen=True)
@@ -146,21 +184,27 @@ def run_all(
     `filter` is an exact id or else a glob; an exact id comes first because
     grid ids such as ``kummer[a=1.0,b=0.5]`` read as glob character classes.
     The report list is ordered by id; a record whose evaluation raises is a
-    ``fail`` row with the error in its note.
+    ``fail`` row with the error in its note and the time it took.  Each
+    distinct value is computed once per call (see ``_once_per_run``).
     """
     def run(id: str) -> EvalReport:
+        start = time.perf_counter()
         try:
             return check(id, tol, quad_tol)
         except Exception as exc:  # evaluation failure is itself a result
             return EvalReport(id, records[id].anchor, complex("nan"), complex("nan"),
-                              math.inf, math.inf, "fail", 0.0,
+                              math.inf, math.inf, "fail", time.perf_counter() - start,
                               f"evaluation error: {exc}")
 
     if filter in records:
         ids = [filter]
     else:
         ids = sorted(id for id in records if filter is None or fnmatch.fnmatch(id, filter))
-    return [run(id) for id in ids]
+    token = _RUN_VALUES.set({})
+    try:
+        return [run(id) for id in ids]
+    finally:
+        _RUN_VALUES.reset(token)
 
 
 def lookup(records: dict, id: str):

@@ -6,10 +6,15 @@ substitution behind it and, where available, the closed-form value both
 sides must equal; and the three radical-integral representation formulas,
 an integral against a Lauricella FD value.  Verification integrates both
 sides numerically and never relies on the substitution algebra itself.
+One run evaluates each distinct integral or FD value once, as every
+``run_all`` call does: the two Legendre relations share their semi-infinite
+integrals, and a record whose values were computed earlier in the run
+reports an ``elapsed`` near 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -24,7 +29,8 @@ from .elliptic import (
 )
 from .hyperfun import DEFAULT_QUAD_TOL, HyperSpec, lauricella_fd
 from .identities import (
-    EvalContext, EvalReport, IdentityRecord, Plan, _verify_record, lookup, run_all,
+    EvalContext, EvalReport, IdentityRecord, Plan, _hyper_plan, _once_per_run, _verify_record, lookup,
+    run_all,
 )
 from .quadrature import SEMI_QUAD_TOL, IntegrandSpec, integrate, integrate_semi_infinite
 
@@ -56,8 +62,13 @@ class IntegralSide:
         # tolerance, but never below the finite target, which carries the MIN_QUAD_TOL floor
         if math.isinf(self.hi):
             tol = max(ctx.quad_tol, min(SEMI_QUAD_TOL, ctx.tol / 10.0))
-            return self.scale * integrate_semi_infinite(self.spec, self.lo, tol).value
-        return self.scale * integrate(self.spec, self.lo, self.hi, ctx.quad_tol).value
+            value = _once_per_run((self.spec, self.lo, self.hi, tol),
+                                  lambda: integrate_semi_infinite(self.spec, self.lo, tol).value)
+        else:
+            tol = ctx.quad_tol
+            value = _once_per_run((self.spec, self.lo, self.hi, tol),
+                                  lambda: integrate(self.spec, self.lo, self.hi, tol).value)
+        return self.scale * value
 
 
 def _cbrt(x: float) -> float:
@@ -309,7 +320,9 @@ def _a_side(n: int, a: int) -> IntegralSide:
     return IntegralSide(IntegrandSpec(g), 0.0, 1.0)
 
 
-def _b_side(n: int, a: int, scale: float = 1.0) -> IntegralSide:
+@functools.cache
+def _b_integrand(n: int, a: int) -> IntegrandSpec:
+    # one integrand per (n, a), so that both Legendre relations share its integral
     limit = 1e290 ** (1.0 / n)
 
     def g(t, _dl, _dh):
@@ -317,7 +330,11 @@ def _b_side(n: int, a: int, scale: float = 1.0) -> IntegralSide:
             return t ** (a - 1 - 0.5 * n)
         return t ** (a - 1) / math.sqrt(1.0 + t ** n)
 
-    return IntegralSide(IntegrandSpec(g), 0.0, math.inf, scale)
+    return IntegrandSpec(g)
+
+
+def _b_side(n: int, a: int, scale: float = 1.0) -> IntegralSide:
+    return IntegralSide(_b_integrand(n, a), 0.0, math.inf, scale)
 
 
 def _legendre_z1(n: int, a: int) -> IdentityRecord:
@@ -375,7 +392,8 @@ def substitution_errors(id: str) -> list[float]:
 
 def _fd_plan(pref: float, a, bs, c, xs) -> Plan:
     spec = HyperSpec(a, tuple(bs), c, tuple(xs))
-    return lambda ctx: pref * lauricella_fd(spec, quad_tol=ctx.quad_tol)
+    fd = _hyper_plan("fd", spec, lambda tol: lauricella_fd(spec, quad_tol=tol))
+    return lambda ctx: pref * fd(ctx)
 
 
 def _quintic_case(tag: str, a, b, c, y, d, e) -> IdentityRecord:

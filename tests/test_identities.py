@@ -1,16 +1,19 @@
 import math
 import re
+import time
 from dataclasses import replace
 
 import pytest
 
-from lauricella import catalog, check_reduction, registry, verify, verify_all
+from lauricella import catalog, check_reduction, registry, reductions, verify, verify_all
 from lauricella.identities import (
     IdentityRecord,
     _verify_record,
     run_all,
 )
-from lauricella.reductions import CHECKS, REDUCTIONS, REPRESENTATIONS
+from lauricella.reductions import (
+    CHECKS, REDUCTIONS, REPRESENTATIONS, check_all_reductions, representation_formulas_check,
+)
 
 BASE_IDS = {
     "lunga", "enu5-1", "kummer", "effe1", "effe1b", "fd3", "fd3b", "fdn", "fdnb",
@@ -227,6 +230,15 @@ class TestOneProtocol:
             assert report.note == "evaluation error: boom"
             assert report.anchor == REPRESENTATIONS[report.id].anchor
 
+    def test_evaluation_error_row_reports_its_time(self):
+        def check(id, tol, quad_tol):
+            time.sleep(0.02)
+            raise ValueError("boom")
+
+        (report,) = run_all(REPRESENTATIONS, check, "rep-quartic[source]")
+        assert report.status == "fail"
+        assert report.elapsed >= 0.02
+
     def test_registries_are_id_maps(self):
         for records in (catalog.RECORDS, REDUCTIONS, CHECKS):
             assert all(id == record.id for id, record in records.items())
@@ -252,3 +264,80 @@ class TestRegressionsAreNotMasked:
         reports = verify_all("lunga*") + [verify("enu5-1")]
         assert len(reports) == 3
         assert {r.id: r.status for r in reports} == {r.id: "fail" for r in reports}
+
+
+def _row(report) -> str:
+    # repr is exact for floats and complex numbers, signed zeros included
+    return repr((report.lhs_value, report.rhs_value, report.abs_err, report.rel_err,
+                 report.status, report.note))
+
+
+class TestOneValuePerRun:
+    # one run_all call computes each distinct value once; the next call computes it again
+
+    @pytest.mark.parametrize("records, run, alone", [
+        (catalog.RECORDS, verify_all, verify),
+        (REDUCTIONS, check_all_reductions, check_reduction),
+        (REPRESENTATIONS, representation_formulas_check, check_reduction),
+    ])
+    def test_sharing_changes_no_reported_number(self, records, run, alone):
+        reports = run()
+        assert [r.id for r in reports] == sorted(records)
+        for report in reports:
+            assert _row(report) == _row(alone(report.id)), report.id
+
+    def test_shared_lauricella_value_is_evaluated_once_per_run(self, monkeypatch):
+        # laured, lauredb and laured-fd5 share theorem 5.4's FD^(6)
+        specs = []
+        lauricella_fd = catalog.lauricella_fd
+
+        def counting(spec, *args, **kwargs):
+            specs.append(spec)
+            return lauricella_fd(spec, *args, **kwargs)
+
+        monkeypatch.setattr(catalog, "lauricella_fd", counting)
+        reports = verify_all("laured*")
+        assert [r.id for r in reports] == ["laured", "laured-fd5", "lauredb"]
+        assert sorted(spec.order for spec in specs) == [5, 6]
+        verify_all("laured*")
+        assert sorted(spec.order for spec in specs) == [5, 5, 6, 6]
+        # outside a run every plan computes its value
+        verify("laured")
+        verify("lauredb")
+        assert sorted(spec.order for spec in specs) == [5, 5, 6, 6, 6, 6]
+
+    def test_values_are_keyed_by_their_full_input(self, monkeypatch):
+        calls = []
+
+        def hyp2f1(*args, quad_tol):
+            calls.append((args, quad_tol))
+            return 1.0
+
+        monkeypatch.setattr(catalog, "hyp2f1", hyp2f1)
+        plan = catalog._2f1(1, 0.5, 1.5, complex(-1.0, 0.0))
+        # the same inputs as floats share the value; a signed zero does not
+        same = catalog._2f1(1.0, 0.5, 1.5, -1.0)
+        signed = catalog._2f1(1.0, 0.5, 1.5, complex(-1.0, -0.0))
+        records = {r.id: r for r in (
+            IdentityRecord("a", "synthetic", plan, same, tolerance=1e-8),
+            IdentityRecord("b", "synthetic", plan, signed, tolerance=1e-8),
+            IdentityRecord("c", "synthetic", plan, plan, tolerance=1e-11),   # quad_tol 1e-12
+        )}
+        run_all(records, lambda id, tol, quad_tol: _verify_record(records[id], tol, quad_tol))
+        assert [quad_tol for _, quad_tol in calls] == [1e-11, 1e-11, 1e-12]
+        assert math.copysign(1.0, calls[1][0][3].imag) == -1.0
+
+    def test_legendre_relations_share_their_semi_infinite_integrals(self, monkeypatch):
+        # the product relation at (n, a) needs the first relation's integral at (n, n - a)
+        calls = []
+        integrate_semi_infinite = reductions.integrate_semi_infinite
+
+        def counting(spec, lo, tol):
+            calls.append(spec)
+            return integrate_semi_infinite(spec, lo, tol)
+
+        monkeypatch.setattr(reductions, "integrate_semi_infinite", counting)
+        assert len(check_all_reductions("legendre-*")) == 8
+        assert len(calls) == len(set(calls)) == 5
+        check_all_reductions("legendre-*")
+        assert len(calls) == 10
