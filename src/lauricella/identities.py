@@ -3,7 +3,10 @@
 Each record carries two evaluation plans (a hypergeometric side and a closed
 form, or two integrals) plus a tolerance, and optionally a closed-form value
 the left side must equal as well, or a declared `Erratum` for a printed form
-that fails.
+that fails.  A closed form is computed once, at import, when its record is
+built, and its plan returns that number; a closed form that raises is a
+programming error that fails the import.  Only the hypergeometric and
+integral sides are evaluated when a record is checked.
 ``_verify_record`` is the one check behind the identity catalog, the
 reductions and the representation formulas: it evaluates both plans once and
 judges the record only as declared.  A record that fails without a declared
@@ -84,6 +87,11 @@ def _hyper_plan(function: str, inputs: object, evaluate: Callable[[float], compl
     """
     key = (function, repr(inputs))
     return lambda ctx: _once_per_run((key, ctx.quad_tol), lambda: evaluate(ctx.quad_tol))
+
+
+def _scaled(k: complex, plan: Plan) -> Plan:
+    """The plan `k` times `plan`, for a constant `k` computed once."""
+    return lambda ctx: k * plan(ctx)
 
 
 @dataclass(frozen=True)
@@ -183,9 +191,10 @@ def run_all(
 
     `filter` is an exact id or else a glob; an exact id comes first because
     grid ids such as ``kummer[a=1.0,b=0.5]`` read as glob character classes.
-    The report list is ordered by id; a record whose evaluation raises is a
-    ``fail`` row with the error in its note and the time it took.  Each
-    distinct value is computed once per call (see ``_once_per_run``).
+    The report list is ordered by id; a record whose hypergeometric or
+    integral side raises is a ``fail`` row with the error in its note and the
+    time it took.  Each distinct value is computed once per call (see
+    ``_once_per_run``).
     """
     def run(id: str) -> EvalReport:
         start = time.perf_counter()

@@ -74,6 +74,7 @@ MAX_LEVEL = 12
 _REACH_MARGIN = 0.5        # least |t| past a side's reach that each level evaluates
 _SIGMA_FLOOR = 5e-300      # drop nodes once the near-endpoint distance underflows
 _SEMI_INF_U_FLOOR = 1e-150  # mapped semi-infinite integrands are cut below this
+_SLOPE_DROP = 0.1           # largest inward fall of a mapped tail's power that is not a divergence
 SEMI_QUAD_TOL = 1e-9        # `integrate_semi_infinite`'s tolerance when none is given
 # rounding of a weighted sample, relative to its size: the weight, the
 # distances raised to the integrand's powers and the product each add a few eps
@@ -349,7 +350,11 @@ def integrate_semi_infinite(
     The mapped integrand h is 0 below u = 1e-150.  The band [0, u1) below
     the innermost nonzero sample u1 is charged u1 |h(u1)| / (1 + beta), its
     integral were h a power u**beta there, with beta read from the two
-    innermost nonzero samples; 1 + beta <= 0 raises `QuadratureError`.
+    innermost nonzero samples; 1 + beta <= 0 raises `QuadratureError`.  So
+    does a beta more than `_SLOPE_DROP` below the power read from the second
+    and third samples: a power that falls inward is a tail whose decay
+    stops, which beta alone can read as convergent.  A power that rises
+    inward (a tail decaying ever faster, like e**-t) is kept.
     """
     if not -math.inf < lo < math.inf:   # nan fails too
         raise ValueError(f"need finite lo < hi, got [{lo}, inf]")
@@ -370,7 +375,7 @@ def integrate_semi_infinite(
     if all(p > 0 for p in probes) and probes[0] <= probes[1] <= probes[2]:
         raise QuadratureError("integrand tail does not decay faster than 1/t")
 
-    inner = [(math.inf, 0.0), (math.inf, 0.0)]   # the two innermost nonzero samples (u, |h(u)|)
+    inner = [(math.inf, 0.0)] * 3   # the three innermost nonzero samples (u, |h(u)|)
 
     def mapped(u: float, _d0: float, d1: float) -> complex:
         if u < _SEMI_INF_U_FLOOR:
@@ -378,19 +383,21 @@ def integrate_semi_infinite(
         # d1 is the exact distance to u = 1, so t - end = d1/u keeps full
         # relative precision for integrands singular at the finite end
         h = g(end + (1.0 - u) / u, d1 / u, math.inf) / (u * u)
-        if h and u < inner[1][0] and u != inner[0][0]:
-            inner[:] = sorted((inner[0], (u, abs(h))))
+        if h and u < inner[2][0] and u != inner[0][0] and u != inner[1][0]:
+            inner[:] = sorted((inner[0], inner[1], (u, abs(h))))
         return h
 
     tail = integrate(IntegrandSpec(evaluator=mapped), 0.0, 1.0, tol)
     value, err, evaluations = tail.value, tail.error_estimate, tail.evaluations
-    (u1, h1), (u2, h2) = inner
+    (u1, h1), (u2, h2), (u3, h3) = inner
     if u2 < math.inf:
         # the band [0, u1) below the innermost sample, were h = h1 (u/u1)**beta there
         beta = (math.log(h1) - math.log(h2)) / math.log(u1 / u2)
-        if not 1.0 + beta > 0.0:
+        outer = (math.log(h2) - math.log(h3)) / math.log(u2 / u3) if u3 < math.inf else beta
+        if not 1.0 + beta > 0.0 or beta < outer - _SLOPE_DROP:
             raise QuadratureError(
-                f"integrand tail does not decay faster than 1/t: its mapped samples go like u**{beta:.3g} at u = {u1:.3g}"
+                f"integrand tail does not decay faster than 1/t: its mapped samples go like u**{beta:.3g} "
+                f"at u = {u1:.3g}, after u**{outer:.3g} further out"
             )
         err += u1 * h1 / (1.0 + beta)
     if end > lo:

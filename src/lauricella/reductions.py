@@ -6,6 +6,10 @@ substitution behind it and, where available, the closed-form value both
 sides must equal; and the three radical-integral representation formulas,
 an integral against a Lauricella FD value.  Verification integrates both
 sides numerically and never relies on the substitution algebra itself.
+A closed form is computed once, at import, when its record is built (a
+closed form that raises is a programming error that fails the import); the
+integral and FD sides are evaluated when a record is checked, so their
+failures are ``fail`` rows.
 One run evaluates each distinct integral or FD value once, as every
 ``run_all`` call does: the two Legendre relations share their semi-infinite
 integrals, and a record whose values were computed earlier in the run
@@ -29,8 +33,8 @@ from .elliptic import (
 )
 from .hyperfun import DEFAULT_QUAD_TOL, HyperSpec, lauricella_fd
 from .identities import (
-    EvalContext, EvalReport, IdentityRecord, Plan, _hyper_plan, _once_per_run, _verify_record, lookup,
-    run_all,
+    EvalContext, EvalReport, IdentityRecord, Plan, _hyper_plan, _once_per_run, _scaled, _verify_record,
+    lookup, run_all,
 )
 from .quadrature import SEMI_QUAD_TOL, IntegrandSpec, integrate, integrate_semi_infinite
 
@@ -142,8 +146,11 @@ def _hermite_ugu() -> IdentityRecord:
     )
 
 
-def _beta_third() -> complex:
-    return math.sqrt(math.pi) / 3.0 * gamma(1.0 / 3.0) / gamma(5.0 / 6.0)
+# closed forms shared by two records each: B(1/3, 1/2)/3 of the Goursat pair, and
+# (4/3)**(1/4) K(1/sqrt2) of hermite-g3 and maier-g4
+_BETA_THIRD = math.sqrt(math.pi) / 3.0 * gamma(1.0 / 3.0) / gamma(5.0 / 6.0)
+_K12 = complete_k(MODULUS_INV_SQRT2)
+_G3_CLOSED = (4.0 / 3.0) ** 0.25 * _K12
 
 
 def _goursat_dig() -> IdentityRecord:
@@ -159,7 +166,7 @@ def _goursat_dig() -> IdentityRecord:
         lhs=IntegralSide(IntegrandSpec(lhs), 1.0, math.inf),
         rhs=IntegralSide(IntegrandSpec(rhs), 1.0, math.inf, 6.0),
         tolerance=1e-7,
-        closed_form=_beta_third,
+        closed_form=lambda: _BETA_THIRD,
         substitution=(lambda t: (t ** 3 + 2.0) / (3.0 * t), ((1.0, 1.0),)),
     )
 
@@ -176,12 +183,14 @@ def _goursat_gb0() -> IdentityRecord:
         anchor='"slight modification of the Goursat reduction"',
         lhs=IntegralSide(IntegrandSpec(lhs), 0.0, 1.0),
         rhs=IntegralSide(IntegrandSpec(rhs), 0.0, 1.0, 6.0),
-        closed_form=_beta_third,
+        closed_form=lambda: _BETA_THIRD,
         substitution=(lambda t: 3.0 * t / (t ** 3 + 2.0), ((0.0, 0.0), (1.0, 1.0))),
     )
 
 
 def _goursat_011b() -> IdentityRecord:
+    closed = 2.0 ** -0.75 * incomplete_f(math.acos((9.0 - 4.0 * math.sqrt(2.0)) / 7.0), MODULUS_SERRET_CUBIC)
+
     def lhs(x, _dl, dh):
         return 1.0 / math.sqrt(dh * (x * x + 3.0 * x + 4.0))
 
@@ -193,14 +202,15 @@ def _goursat_011b() -> IdentityRecord:
         anchor='"which can be rewritten as" (complete-cubic Goursat case)',
         lhs=IntegralSide(IntegrandSpec(lhs), 0.0, 1.0),
         rhs=IntegralSide(IntegrandSpec(rhs), 0.0, 1.0),
-        closed_form=lambda: 2.0 ** -0.75
-        * incomplete_f(math.acos((9.0 - 4.0 * math.sqrt(2.0)) / 7.0), MODULUS_SERRET_CUBIC),
+        closed_form=lambda: closed,
         substitution=(lambda t: t * t * (3.0 - t) / (1.0 + t ** 3), ((0.0, 0.0), (1.0, 1.0))),
     )
 
 
 def _hermite_b0() -> IdentityRecord:
     # a = 1; the genus-2 side carries the stated factor 3a
+    closed = math.sqrt(2.0) * _K12
+
     def lhs(z, dl, _dh):
         return 3.0 / math.sqrt(dl * (1.0 - z * z) * (3.0 - 4.0 * z * z))
 
@@ -212,7 +222,7 @@ def _hermite_b0() -> IdentityRecord:
         anchor="degree-3 Hermite reduction with vanishing constant term, a = 1",
         lhs=IntegralSide(IntegrandSpec(lhs), 0.0, 0.5),
         rhs=IntegralSide(IntegrandSpec(rhs), -1.0, 0.0),
-        closed_form=lambda: math.sqrt(2.0) * complete_k(MODULUS_INV_SQRT2),
+        closed_form=lambda: closed,
         substitution=(lambda z: 4.0 * z ** 3 - 3.0 * z, ((0.0, 0.0), (0.5, -1.0))),
     )
 
@@ -221,6 +231,10 @@ def _hermite_full() -> IdentityRecord:
     a = 28.0 / 3.0
     s73 = math.sqrt(7.0 / 3.0)
     edge = 2.0 * s73                     # sqrt(28/3)
+    closed = (
+        math.sqrt(3.0) / 14.0 * math.sqrt((s73 - 1.0) * (7.0 / 3.0 + s73))
+        * complete_k(MODULUS_HERMITE_QUARTIC)
+    )
 
     def lhs(z, dl, _dh):
         return 1.0 / math.sqrt((a - z * z) * dl * (2.0 - z) * (z + 3.0))
@@ -228,16 +242,12 @@ def _hermite_full() -> IdentityRecord:
     def rhs(x, dl, dh):
         return 1.0 / math.sqrt(dh * (edge - x) * dl)
 
-    def closed() -> complex:
-        coeff = math.sqrt(3.0) / 14.0 * math.sqrt((s73 - 1.0) * (7.0 / 3.0 + s73))
-        return coeff * complete_k(MODULUS_HERMITE_QUARTIC)
-
     return IdentityRecord(
         id="hermite-full",
         anchor="degree-3 Hermite reduction with both constants fixed (a = 28/3, b = -48)",
         lhs=IntegralSide(IntegrandSpec(lhs), 1.0, s73),
         rhs=IntegralSide(IntegrandSpec(rhs), -edge, -18.0 / 7.0, 1.0 / math.sqrt(21.0)),
-        closed_form=closed,
+        closed_form=lambda: closed,
         substitution=(lambda z: (3.0 * z ** 3 - 21.0 * z) / 7.0, ((1.0, -18.0 / 7.0), (s73, -edge))),
     )
 
@@ -276,7 +286,7 @@ def _hermite_g3() -> IdentityRecord:
         anchor='"reducing a hyperelliptic integral of genus 3" (degree-6 map), a = 1, b = 0',
         lhs=_CUBIC_SIDE,
         rhs=IntegralSide(IntegrandSpec(rhs), _G3_LO, _G3_HI),
-        closed_form=lambda: (4.0 / 3.0) ** 0.25 * complete_k(MODULUS_INV_SQRT2),
+        closed_form=lambda: _G3_CLOSED,
         substitution=(_g3_map, ((_G3_LO, -math.sqrt(3.0)), (_G3_HI, 0.0))),
     )
 
@@ -304,7 +314,7 @@ def _maier_g4() -> IdentityRecord:
         anchor='"Restricting ourselves to the integral where the cubic" (degree-10 map)',
         lhs=_CUBIC_SIDE,
         rhs=IntegralSide(IntegrandSpec(rhs), _G4_LO, 84.0),
-        closed_form=lambda: (4.0 / 3.0) ** 0.25 * complete_k(MODULUS_INV_SQRT2),
+        closed_form=lambda: _G3_CLOSED,
         substitution=(_g4_map, (
             (-2.0 * math.sqrt(21.0), 0.0),
             (5.0 * math.sqrt(3.0) - 2.0 * math.sqrt(66.0), -math.sqrt(3.0)),
@@ -350,11 +360,12 @@ def _legendre_z1(n: int, a: int) -> IdentityRecord:
 def _legendre_z2(n: int, a: int) -> IdentityRecord:
     # the product relation: lhs is the product of the two sides, rhs its closed form
     b_side, a_side = _b_side(n, n - a), _a_side(n, a)
+    closed = 2.0 * math.pi / (n * (2 * a - n) * math.sin(math.pi * a / n))
     return IdentityRecord(
         id=f"legendre-z2[n={n},a={a}]",
         anchor='"two remarkable formulae due to Legendre", product relation',
         lhs=lambda ctx: b_side(ctx) * a_side(ctx),
-        rhs=lambda ctx: 2.0 * math.pi / (n * (2 * a - n) * math.sin(math.pi * a / n)),
+        rhs=lambda ctx: closed,
         tolerance=1e-7,
     )
 
@@ -392,8 +403,7 @@ def substitution_errors(id: str) -> list[float]:
 
 def _fd_plan(pref: float, a, bs, c, xs) -> Plan:
     spec = HyperSpec(a, tuple(bs), c, tuple(xs))
-    fd = _hyper_plan("fd", spec, lambda tol: lauricella_fd(spec, quad_tol=tol))
-    return lambda ctx: pref * fd(ctx)
+    return _scaled(pref, _hyper_plan("fd", spec, lambda tol: lauricella_fd(spec, quad_tol=tol)))
 
 
 def _quintic_case(tag: str, a, b, c, y, d, e) -> IdentityRecord:

@@ -396,6 +396,17 @@ class TestSemiInfinite:
         with pytest.raises(QuadratureError, match="does not decay faster than 1/t"):
             integrate_semi_infinite(IntegrandSpec(evaluator=g), 0.0, 1e-9)
 
+    def test_tail_whose_decay_stops_between_samples_raises(self):
+        # past t = 1e70 the capped quartic radical is flat at 1e-140, so its
+        # integral diverges; the two innermost mapped samples straddle the cap
+        # and read u**-0.98, which alone came back K(1/sqrt2) with an estimate
+        # of 4.4e-15, while the power further out is u**0
+        def g(t, _d_lo, _d_hi):
+            return 1.0 / math.sqrt(1.0 + min(t, 1e70) ** 4)
+
+        with pytest.raises(QuadratureError, match="does not decay faster than 1/t"):
+            integrate_semi_infinite(IntegrandSpec(evaluator=g), 0.0, 1e-11)
+
     def test_divergent_tail_detected(self):
         spec = IntegrandSpec(evaluator=lambda t, _d_lo, _d_hi: 1.0 / (1.0 + t))
         with pytest.raises(QuadratureError):
