@@ -635,7 +635,23 @@ def _pole_gain(z: complex) -> float:
     and near a pole psi(z) is about 1 / (distance to it); far from the poles
     |z psi(z)| is of the size of log Gamma(z) itself.
     """
-    return abs(z) / abs(z - min(0, round(z.real)))
+    n = round(z.real)
+    return abs(z) / abs(z - n) if n < 0 else 1.0
+
+
+def _real_log_gamma(x: float) -> tuple[float, float, float]:
+    """`_log_gamma(x)` at a real x as (real part, imaginary part, modulus), in floats."""
+    if x < 0.5 and abs(x - round(x)) < 1e-12:  # `core._check_pole`
+        raise GammaPoleError(f"gamma pole near z = {x}")
+    log = math.lgamma(x)  # OverflowError past the float range
+    if x < 0.0 and math.floor(x) % 2:  # Gamma(x) < 0
+        return log, math.pi, abs(complex(log, math.pi))
+    return log, 0.0, abs(log)
+
+
+def _complex_log_gamma(z: complex) -> tuple[float, float, float]:
+    log = _log_gamma(z)
+    return log.real, log.imag, abs(log)
 
 
 def _hyp2f1_connection(
@@ -653,8 +669,10 @@ def _hyp2f1_connection(
 
     with (a1, b1) = (1+a-c, 1+b-c) for 1/x and (c-b, c-a) for 1/(1-x).  A
     term whose 1/Gamma(b) Gamma(c-a) or 1/Gamma(a) Gamma(c-b) is at a pole
-    is exactly 0.  Each term's factor G p**(-e) is formed as one exponential
-    of a sum of logarithms, so it neither overflows nor underflows on the way.
+    is exactly 0.  Each term's factor G p**(-e) is exp of a sum of five
+    logarithms, so it neither overflows nor underflows on the way.  The sum
+    runs on float (real, imaginary) pairs in a complex sum's order, so it
+    rounds as that sum would; real a, b and c take `_real_log_gamma`.
 
     The value is returned only when |w| <= 0.9, no log-Gamma raised, both
     factors lie inside the float range, the value is finite and the error
@@ -667,6 +685,10 @@ def _hyp2f1_connection(
     cancellation between the terms, and sums whose own terms cancel.  A NaN
     anywhere fails the test too.
     """
+    if a.imag or b.imag or c.imag:
+        log_gamma = _complex_log_gamma
+    else:
+        a, b, c, log_gamma = a.real, b.real, c.real, _real_log_gamma
     w_x, w_1mx = 1.0 / x, 1.0 / (1.0 - x)
     if abs(w_x) <= abs(w_1mx):
         w, p, a1, b1 = w_x, -x, 1.0 + a - c, 1.0 + b - c
@@ -687,21 +709,23 @@ def _hyp2f1_connection(
         # The lower parameters are formed from a and b, not from the rounded
         # a - b, which would lose their relative precision near an integer.
         ba, ab = b - a, a - b
-        lg_c, lg_ba, lg_ab = _log_gamma(c), _log_gamma(ba), _log_gamma(ab)
-        for e, e1, low, d, lg_d, r1, r2 in ((a, a1, 1.0 + a - b, ba, lg_ba, b, c - a), (b, b1, 1.0 + b - a, ab, lg_ab, a, c - b)):
+        (g0, h0, s0), lg_ba, lg_ab = log_gamma(c), log_gamma(ba), log_gamma(ab)
+        for e, e1, low, d, (g1, h1, s1), r1, r2 in ((a, a1, 1.0 + a - b, ba, lg_ba, b, c - a), (b, b1, 1.0 + b - a, ab, lg_ab, a, c - b)):
             if _at_pole(r1) or _at_pole(r2):
                 continue
-            parts = (lg_c, lg_d, -_log_gamma(r1), -_log_gamma(r2), -e * log_p)
-            log_factor = sum(parts)
-            if not abs(log_factor.real) <= _LOG_RANGE:
+            # the parts log Gamma(c), log Gamma(d), -log Gamma(r1), -log Gamma(r2), -e log p
+            (g2, h2, s2), (g3, h3, s3) = log_gamma(r1), log_gamma(r2)
+            power = -e * log_p
+            log_factor = g0 + g1 - g2 - g3 + power.real
+            if not abs(log_factor) <= _LOG_RANGE:
                 return None
             total, bound = _gauss_sum(e, e1, low, w)
-            factor = cmath.exp(log_factor)
+            factor = cmath.exp(complex(log_factor, h0 + h1 - h2 - h3 + power.imag))
             value += factor * total
-            sizes = 1.0 + _pole_gain(d) + _pole_gain(r2) + sum(abs(part) for part in parts)
+            sizes = 1.0 + _pole_gain(d) + _pole_gain(r2) + (s0 + s1 + s2 + s3 + abs(power))
             exponent_error = _CONNECTION_ROUNDING * sizes
             error += abs(factor) * (bound + exponent_error * abs(total))
-    except (DomainError, GammaPoleError):
+    except (DomainError, GammaPoleError, OverflowError):
         return None
     if not (cmath.isfinite(value) and error <= quad_tol * abs(value)):
         return None

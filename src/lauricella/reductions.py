@@ -324,7 +324,9 @@ def _maier_g4() -> IdentityRecord:
 
 def _a_side(n: int, a: int) -> IntegralSide:
     def g(x, _dl, dh):
-        poly = sum(x ** j for j in range(n))
+        poly = 1.0  # 1 + x + ... + x**(n-1), added in that order
+        for j in range(1, n):
+            poly += x ** j
         return x ** (a - 1) / math.sqrt(dh * poly)
 
     return IntegralSide(IntegrandSpec(g), 0.0, 1.0)
