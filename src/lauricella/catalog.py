@@ -5,12 +5,13 @@ reproducible.  Where a printed form fails numerically, the record stores the
 corrected form (used for pass/fail) together with the printed one; the
 verifier reports such entries as ``pass_with_erratum``.
 
-Closed forms (Gamma quotients, elliptic integrals at singular moduli, pi)
-are values: each is computed once, at import, when its record is built, and
-a record holds it as a constant plan.  A closed form that raises is a
-programming error and fails the import.  Only the hypergeometric sides and
-their combinations are deferred plans, evaluated when a record is checked,
-so their failures are ``fail`` rows.
+Closed forms (Gamma quotients by `core._gamma_quotient` but for ``lunga``,
+elliptic integrals at singular moduli, pi) are values: each is computed
+once, at import, when its record is built, and a record holds it as a
+constant plan.  A closed form that raises is a programming error and fails
+the import.  Only the hypergeometric sides and their combinations are
+deferred plans, evaluated when a record is checked, so their failures are
+``fail`` rows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import gamma, principal_pow, roots_of_unity, unit_partition_roots
+from .core import _gamma_quotient, gamma, principal_pow, roots_of_unity, unit_partition_roots
 from .elliptic import (
     MODULUS_HERMITE_QUARTIC,
     MODULUS_INV_SQRT2,
@@ -64,22 +65,19 @@ def _fd(a, bs, c, xs):
 
 def _kummer_rhs(n: int, a: float, b: float) -> complex:
     # Gamma quotient shared by the boundary families of every order n
-    return gamma(1 + a - b) * gamma(1 + a / n) / (gamma(1 + a) * gamma(1 + a / n - b))
+    return _gamma_quotient((1 + a - b, 1 + a / n), (1 + a, 1 + a / n - b))
 
 
 def _grad_rhs(n: int, a: float, b: float) -> complex:
     # Gamma quotient of the outside-disk families (Mellin evaluation)
-    return (
-        gamma(a / n) * gamma(n * b) * gamma((n * b - a) / n)
-        / (n * gamma(a) * gamma(b) * gamma(n * b - a))
-    )
+    return _gamma_quotient((a / n, n * b, (n * b - a) / n), (a, b, n * b - a), n)
 
 
 # complete elliptic integrals at the singular moduli of the catalog
 _K12 = complete_k(MODULUS_INV_SQRT2)
 _K15 = complete_k(MODULUS_SIN15)
 _K21 = complete_k(MODULUS_SQRT2_MINUS_1)
-_GAMMA_THIRD_CUBED = abs(gamma(1.0 / 3.0)) ** 3
+_GAMMA_THIRD_CUBED = abs(_gamma_quotient((1.0 / 3.0,) * 3, ()))
 
 
 # arguments shared by several section-4 continuation entries
@@ -155,6 +153,7 @@ def _records() -> dict[str, IdentityRecord]:
             f"lunga[a={a},b={b}]",
             'eq. (1): "we proved that, if"',
             _2f1(s, b, 2 * b, 2.0),
+            # a direct product: `_gamma_quotient` lands lunga[a=1.5,b=1.0] one ulp further from 1 - i
             principal_pow(-1j, s) * math.sqrt(math.pi) * gamma(b + 0.5)
             / (gamma((a + 1) / 2) * gamma((s + 1) / 2)),
         )

@@ -5,9 +5,9 @@ values are always finite; domain problems raise instead of propagating NaN.
 Gamma and log-Gamma of a real argument come from the C math library
 (``math.gamma``, ``math.lgamma``).  A complex argument has one approximation,
 a Lanczos sum and the reflection formula, both in log form in ``_log_gamma``;
-a complex Gamma is the exp of that logarithm.  A quotient of Gammas has one
-rule, `_gamma_quotient`: the direct quotient while it is in range, the exp of
-the log-Gamma sum past it.
+a complex Gamma is the exp of that logarithm.  Only this module forms Gammas
+(bar the catalog's ``lunga``); their quotients have one rule, `_gamma_quotient`:
+the direct quotient while it is in range, the exp of the log-Gamma sum past it.
 """
 
 from __future__ import annotations
@@ -157,6 +157,16 @@ def gamma(z: complex) -> complex:
     return value
 
 
+def _real_log_gamma(x: float) -> tuple[float, float, float]:
+    """`_log_gamma(x)` at a real x as (real part, imaginary part, modulus), in floats."""
+    if x < 0.5 and abs(x - round(x)) < 1e-12:  # `_check_pole`
+        raise GammaPoleError(f"gamma pole near z = {x}")
+    log = math.lgamma(x)  # OverflowError past the float range
+    if x < 0.0 and math.floor(x) % 2:  # Gamma(x) < 0 exactly on the intervals (-2k-1, -2k)
+        return log, math.pi, abs(complex(log, math.pi))
+    return log, 0.0, abs(log)
+
+
 def _log_gamma(z: complex) -> complex:
     """A logarithm of Gamma(z), on no fixed branch: only exp(_log_gamma(z)) is meant.
 
@@ -173,13 +183,11 @@ def _log_gamma(z: complex) -> complex:
     z = complex(z)
     _check_pole(z)
     if z.imag == 0.0:
-        x = z.real
         try:
-            log = math.lgamma(x)
+            log, phase, _ = _real_log_gamma(z.real)
         except OverflowError:
-            raise DomainError(f"log Gamma({x}) exceeds the floating-point range") from None
-        # Gamma(x) < 0 exactly on the intervals (-2k-1, -2k)
-        return complex(log, math.pi if x < 0.0 and math.floor(x) % 2 else 0.0)
+            raise DomainError(f"log Gamma({z.real}) exceeds the floating-point range") from None
+        return complex(log, phase)
     if z.real < 0.5:
         # Gamma(z) Gamma(1-z) = pi / sin(pi z)
         log = _LOG_PI - _log_sin_pi(z) - _log_gamma(1.0 - z)
@@ -240,13 +248,20 @@ def _gamma_quotient(num: tuple[complex, ...], den: tuple[complex, ...], divisor:
 
 
 def pochhammer(a: complex, m: int) -> complex:
-    """Rising factorial a (a+1) ... (a+m-1), by direct product."""
-    if m < 0:
-        raise DomainError(f"pochhammer needs m >= 0, got {m}")
+    """Rising factorial a (a+1) ... (a+m-1), by direct product.
+
+    A non-integer or negative m, an a that is not finite and a product past
+    the float range raise :class:`DomainError`.
+    """
+    if not isinstance(m, int) or m < 0:
+        raise DomainError(f"pochhammer needs an integer m >= 0, got {m!r}")
     value = complex(1.0, 0.0)
     a = complex(a)
+    _check_finite(a)
     for k in range(m):
         value *= a + k
+    if not cmath.isfinite(value):
+        raise DomainError(f"pochhammer({a}, {m}) exceeds the floating-point range")
     return value
 
 

@@ -34,7 +34,8 @@ picks it only for Im x == 0.
 
 Every value is finite: a value past the float range, or a path through a
 quantity past it (a series term or sum, a Pfaff prefactor, a Gamma
-quotient), raises `DomainError`.
+quotient), raises `DomainError`.  Every Gamma quotient is `core`'s
+`_gamma_quotient`, and every real log-Gamma `core._real_log_gamma`.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .core import (
     _check_finite,
     _gamma_quotient,
     _log_gamma,
+    _real_log_gamma,
     check_quad_tol,
     gamma,  # not called here: bound for perfbench/tracing.py, which wraps hyperfun.gamma
     principal_pow,
@@ -560,15 +562,16 @@ def _euler_fd(
     exponent a - 1 of a = 1e-20 rounds to -1.  A Pfaff transformation cannot
     make it apply: a -> c - a swaps the powers at 0 and 1, and an argument
     on the cut maps onto the cut with the same b.  The prefactor is
-    `_gamma_quotient`'s, and a prefactor or value past the float range
-    raises `DomainError`.
+    `_gamma_quotient`'s, formed before the integral, so a prefactor past
+    the float range raises `DomainError` before any integrand call; so
+    does a value past it.
     """
     points = _singular_points(a, bs, c, xs, side)
     if _divergent(points) is not None:
         return None
-    spec = _euler_panels(points, bs, xs)
-    result = integrate(spec, 0.0, 1.0, quad_tol)
-    return _finite(_gamma_quotient((c,), (a, c - a)) * result.value)
+    prefactor = _gamma_quotient((c,), (a, c - a))
+    result = integrate(_euler_panels(points, bs, xs), 0.0, 1.0, quad_tol)
+    return _finite(prefactor * result.value)
 
 
 # ---------------------------------------------------------------------------
@@ -637,16 +640,6 @@ def _pole_gain(z: complex) -> float:
     """
     n = round(z.real)
     return abs(z) / abs(z - n) if n < 0 else 1.0
-
-
-def _real_log_gamma(x: float) -> tuple[float, float, float]:
-    """`_log_gamma(x)` at a real x as (real part, imaginary part, modulus), in floats."""
-    if x < 0.5 and abs(x - round(x)) < 1e-12:  # `core._check_pole`
-        raise GammaPoleError(f"gamma pole near z = {x}")
-    log = math.lgamma(x)  # OverflowError past the float range
-    if x < 0.0 and math.floor(x) % 2:  # Gamma(x) < 0
-        return log, math.pi, abs(complex(log, math.pi))
-    return log, 0.0, abs(log)
 
 
 def _complex_log_gamma(z: complex) -> tuple[float, float, float]:

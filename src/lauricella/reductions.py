@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import gamma
+from .core import _gamma_quotient, gamma  # gamma is not called here: bound for perfbench/tracing.py
 from .elliptic import (
     MODULUS_HERMITE_QUARTIC,
     MODULUS_INV_SQRT2,
@@ -148,7 +148,7 @@ def _hermite_ugu() -> IdentityRecord:
 
 # closed forms shared by two records each: B(1/3, 1/2)/3 of the Goursat pair, and
 # (4/3)**(1/4) K(1/sqrt2) of hermite-g3 and maier-g4
-_BETA_THIRD = math.sqrt(math.pi) / 3.0 * gamma(1.0 / 3.0) / gamma(5.0 / 6.0)
+_BETA_THIRD = math.sqrt(math.pi) / 3.0 * _gamma_quotient((1.0 / 3.0,), (5.0 / 6.0,))
 _K12 = complete_k(MODULUS_INV_SQRT2)
 _G3_CLOSED = (4.0 / 3.0) ** 0.25 * _K12
 

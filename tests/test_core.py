@@ -263,6 +263,15 @@ class TestPochhammer:
         with pytest.raises(DomainError):
             pochhammer(1.0, -1)
 
+    @pytest.mark.parametrize("a, m", [
+        (math.nan, 3),     # once nan+nanj
+        (1e200, 3),        # once inf+nanj: the product overflows
+        (1.0, 2.5),        # once a bare TypeError
+    ])
+    def test_finite_or_domain_error(self, a, m):
+        with pytest.raises(DomainError):
+            pochhammer(a, m)
+
     @given(st.integers(min_value=0, max_value=40), st.floats(-5, 5, allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_recurrence(self, m, a):

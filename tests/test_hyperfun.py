@@ -637,6 +637,29 @@ _F1_BOX_POINTS = [
 
 
 class TestSeriesKernels:
+    @pytest.mark.parametrize("function, args, want", [
+        # mpmath values.  Disk 2F1, summed at x itself
+        (hyp2f1, (1.5, -0.75, 2.25, 0.5 + 0.6j), 0.7645934468503459 - 0.3300368365224447j),
+        # F1 edge point, max |x| = 0.856
+        (appell_f1, (1.7, 0.6, -1.1, 2.4, -0.85 + 0.1j, 0.3 - 0.5j), 0.5752277700105812 + 0.29470152460013666j),
+        # 2F1 by its 1/x connection formula at complex x
+        (hyp2f1, (1.3, 2.6, 3.1, 3 + 4j), -0.15751307230049444 + 0.12839376956252377j),
+        # the connection formula's float log-Gamma algebra at real parameters: the seed-1
+        # eval-continuation median point, on the cut from each side, and a 1/(1-x) point
+        (hyp2f1, (0.5638805328671993, 0.10486791648564076, 2.1408644574343536, 3.339429154139169, BranchSide.ABOVE),
+         1.0520333409001639 + 0.12580953177433882j),
+        (hyp2f1, (0.5638805328671993, 0.10486791648564076, 2.1408644574343536, 3.339429154139169, BranchSide.BELOW),
+         1.0520333409001639 - 0.12580953177433882j),
+        (hyp2f1, (1.7, 0.45, 2.2, -25), 0.2710418723805714),
+        # complex parameters, summed at the Pfaff image |x/(x-1)| = 0.87 for x = -6+2i, and by
+        # the 1/x formula for x = 3+4i
+        (hyp2f1, (0.7 + 0.3j, 1.2 - 0.5j, 2.9 + 0.1j, -6 + 2j), 0.39374468509743804 + 0.04824232284500985j),
+        (hyp2f1, (0.7 + 0.3j, 1.2 - 0.5j, 2.9 + 0.1j, 3 + 4j), 0.26290255000647494 + 0.5800424289984832j),
+    ])
+    def test_values_against_mpmath(self, function, args, want):
+        got = function(*args)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_real_gauss_sum_is_bit_identical_to_the_reference_loop(self):
         rng = random.Random(2)
         for i in range(600):
@@ -1346,6 +1369,20 @@ class TestFloatRange:
         lambda: appell_f1(1, -2000, 1, 1, 0.5, 0.3),
     ])
     def test_domain_error(self, evaluate):
+        with pytest.raises(DomainError, match="floating-point range"):
+            evaluate()
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: appell_f1(0.5 + 240j, 0.3, 0.4, 1.5, 2, -3),
+        lambda: hyp2f1(0.5 + 240j, 0.5, 1.5, 1.5),
+        lambda: lauricella_fd(HyperSpec(0.5 + 240j, (0.3, 0.2, 0.1), 1.5, (2, -3, 5))),
+    ])
+    def test_euler_prefactor_refused_before_any_integral(self, evaluate, monkeypatch):
+        # the prefactor is formed first: a refusal spends no integrand call
+        def refuse(*args):
+            raise AssertionError("integrated before the prefactor was refused")
+
+        monkeypatch.setattr(hyperfun, "integrate", refuse)
         with pytest.raises(DomainError, match="floating-point range"):
             evaluate()
 

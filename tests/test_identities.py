@@ -282,6 +282,29 @@ class TestClosedFormsAreValues:
         reports = check_all_reductions() + representation_formulas_check()
         assert [r.status for r in reports] == ["pass"] * 24
 
+    @pytest.mark.parametrize("closed_form, n, a, b", [
+        # a Gamma product past the float range, or a Gamma past it
+        ("kummer", 4, 170, 0.5),
+        ("kummer", 4, 171.5, 0.5),
+        ("kummer", 6, 300, 0.3),
+        ("mellin", 10, 150, 20),
+        ("mellin", 6, 3, 30),
+    ])
+    def test_gamma_quotients_past_float_range(self, closed_form, n, a, b):
+        # the Kummer (theorem 1) and Mellin (theorem 2) closed forms at large parameters
+        mpmath = pytest.importorskip("mpmath")
+        g = mpmath.gamma
+        with mpmath.workdps(30):
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            if closed_form == "kummer":
+                got = catalog._kummer_rhs(n, float(a), float(b))
+                want = g(1 + a - b) * g(1 + a / n) / (g(1 + a) * g(1 + a / n - b))
+            else:
+                got = catalog._grad_rhs(n, float(a), float(b))
+                want = g(a / n) * g(n * b) * g((n * b - a) / n) / (n * g(a) * g(b) * g(n * b - a))
+            want = complex(want)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
 
 def _row(report) -> str:
     # repr is exact for floats and complex numbers, signed zeros included
