@@ -387,10 +387,12 @@ def _euler_panels(points: list, bs: Sequence[complex], xs: Sequence[complex]) ->
     and one constant phase from the turns of the points left of the panel.
     Each panel is one row (e_lo, k_lo, e_hi, k_hi, line terms, turns) of the
     integral's table.  The factors of the arguments off the cut are the same
-    on every panel.  With real exponents the evaluator is `_real_panel`'s,
-    in float arithmetic, and otherwise `_complex_panel`'s.  Either finds a
-    node's row by the node's panel midpoint, u + (d_hi - d_lo)/2: u itself
-    may have rounded onto a shared boundary, the midpoint never does.
+    on every panel.  There are two evaluators: with real exponents
+    `_real_panel`'s, in float arithmetic, whose sample returns early when no
+    argument is an arc (off the real axis without its conjugate), and
+    otherwise `_complex_panel`'s.  Either finds a node's row by the node's
+    panel midpoint, u + (d_hi - d_lo)/2: u itself may have rounded onto a
+    shared boundary, the midpoint never does.
     """
     from .quadrature import IntegrandSpec
 
@@ -441,14 +443,16 @@ def _euler_panels(points: list, bs: Sequence[complex], xs: Sequence[complex]) ->
 # magnitudes are k_lo d_lo and k_hi d_hi at the panel ends, k0 + k1 u for each
 # line term and |1 - x u|**2 for each conjugate pair, all positive reals.  The
 # real sum is kept in base 2: math.log2 costs about a third of math.log on
-# CPython 3.11, whose math.log parses an optional base argument.  Any other
-# argument off the real axis has, for real b, the magnitude |1 - x u|**2 with
-# exponent -b/2 and the angle b atan2(Im x u, 1 - Re x u) in `_real_panel`,
-# and 1 - x u under the complex logarithm in `_complex_panel`.  An argument
-# with |x| >= _SQUARE_RANGE, whose |1 - x u|**2 can leave the float range,
-# takes the complex logarithm too.  Each evaluator reads its panel's row from
-# the table padded at both ends, so that bisect_right's index is the row; an
-# integral of one panel skips the bisection.
+# CPython 3.11, whose math.log parses an optional base argument.  There are
+# two evaluators, the real `_real_panel` and the complex `_complex_panel`.  Any
+# other argument off the real axis, an arc, has for real b the magnitude
+# |1 - x u|**2 with exponent -b/2 and the angle b atan2(Im x u, 1 - Re x u) in
+# `_real_panel`, whose sample returns early when there are no arcs, and 1 - x u
+# under the complex logarithm in `_complex_panel`.  An argument with
+# |x| >= _SQUARE_RANGE, whose |1 - x u|**2 can leave the float range, takes the
+# complex logarithm too.  Each evaluator reads its panel's row from the table
+# padded at both ends, so that bisect_right's index is the row; an integral of
+# one panel skips the bisection.
 
 def _panel_table(rows, phase):
     """The rows with their turns mapped by `phase`: (table padded for bisect_right, the row or None).
@@ -464,31 +468,19 @@ def _real_panel(boundaries, rows, pairs, arcs):
     """Real exponents, in float arithmetic: 2**(log2 sum) times the phase.
 
     ``arcs`` holds (-b/2, b, Re x, Im x) for each argument off the real axis
-    without its conjugate.  With none the panel's phase is a fixed factor,
-    1.0 on a panel with no turn, and the sample is 2**t times it.  With some
-    the phase is an angle, pi times the turns plus each arc's angle, and the
-    sample is one ``cmath.rect``.
+    without its conjugate.  With none the table holds each panel's phase as
+    a fixed factor, 1.0 on a panel with no turn, and the sample returns
+    early as 2**t times it.  With some the table holds the phase angle, pi
+    times the turns, each arc adds its angle to it, and the sample is one
+    ``cmath.rect``.
     """
     log2 = math.log2
-    if not arcs:
-        table, only = _panel_table(rows, lambda turns: cmath.exp(1j * math.pi * turns) if turns != 0.0 else 1.0)
-
-        def g(u: float, d_lo: float, d_hi: float) -> complex:
-            e_lo, k_lo, e_hi, k_hi, lines, phase = only or table[bisect_right(boundaries, u + 0.5 * (d_hi - d_lo))]
-            t = e_lo * log2(k_lo * d_lo) + e_hi * log2(k_hi * d_hi)
-            for e, k0, k1 in lines:
-                t += e * log2(k0 + k1 * u)
-            for e, x_re, x_im in pairs:
-                w = 1.0 - x_re * u
-                z = x_im * u
-                t += e * log2(w * w + z * z)
-            return 2.0 ** t * phase
-
-        return g
-
     atan2 = math.atan2
     rect = cmath.rect
-    table, only = _panel_table(rows, lambda turns: math.pi * turns.real)
+    if arcs:
+        table, only = _panel_table(rows, lambda turns: math.pi * turns.real)
+    else:
+        table, only = _panel_table(rows, lambda turns: cmath.exp(1j * math.pi * turns) if turns != 0.0 else 1.0)
 
     def g(u: float, d_lo: float, d_hi: float) -> complex:
         e_lo, k_lo, e_hi, k_hi, lines, phase = only or table[bisect_right(boundaries, u + 0.5 * (d_hi - d_lo))]
@@ -499,6 +491,8 @@ def _real_panel(boundaries, rows, pairs, arcs):
             w = 1.0 - x_re * u
             z = x_im * u
             t += e * log2(w * w + z * z)
+        if not arcs:
+            return 2.0 ** t * phase
         for half, b, x_re, x_im in arcs:
             w = 1.0 - x_re * u
             z = x_im * u

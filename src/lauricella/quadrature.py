@@ -203,22 +203,6 @@ def _sweep(
     return total, reach, evaluations
 
 
-def _first_nonfinite(
-    g: _Integrand,
-    sides: Sequence[tuple[list[_Node], float, float]],
-    span: float,
-) -> Optional[float]:
-    """Re-evaluate a level's nodes, (nodes, end, limit) per side, for its first non-finite sample."""
-    for nodes, end, limit in sides:
-        for t, offset, sigma_lo, sigma_hi, _weight in nodes:
-            if t > limit:
-                break
-            x = end + span * offset
-            if not cmath.isfinite(g(x, span * sigma_lo, span * sigma_hi)):
-                return x
-    return None
-
-
 def _integrate_panel(
     g: _Integrand,
     lo: float,
@@ -250,10 +234,16 @@ def _integrate_panel(
         )
         evaluations += n_lo + n_hi
         if not cmath.isfinite(level_sum):
-            # a finite sum proves every sample in it finite; only now look
-            x = _first_nonfinite(g, ((towards_lo, lo, reach_lo + margin), (towards_hi, hi, reach_hi + margin)), span)
-            if x is not None:
-                raise QuadratureError(f"non-finite integrand sample at x = {x}")
+            # a finite sum proves every sample in it finite; only now sweep the
+            # level's nodes once more, to raise at its first non-finite sample
+            def checked(x: float, d_lo: float, d_hi: float) -> complex:
+                sample = g(x, d_lo, d_hi)
+                if not cmath.isfinite(sample):
+                    raise QuadratureError(f"non-finite integrand sample at x = {x}")
+                return sample
+
+            _sweep(checked, towards_lo, lo, span, 0j, reach_lo, margin, floor)
+            _sweep(checked, towards_hi, hi, span, 0j, reach_hi, margin, floor)
             raise QuadratureError(f"integral over [{lo}, {hi}] exceeds the floating-point range")
         value = span * h * level_sum
         if level == 0:

@@ -122,6 +122,23 @@ class TestEval:
         want = lauricella_fd(HyperSpec(1.0, (0.5, 0.5), 2.0, (0.2, 0.3)))
         assert capsys.readouterr().out.splitlines()[0] == _format_value(want)
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["fd", "--a", "0.5", "--bs", "0.3,0.4,-0.2", "--c", "1.5", "--xs", "2,1;-3,0.5;1.5,-2"],
+             0.749720491508218 + 0.30629537236735405j),
+            (["f1", "--a", "0.7", "--bs", "0.3,0.6", "--c", "1.9", "--xs", "3,2;-2,-4"],
+             0.6946146361803293 + 0.0024611612757224504j),
+        ],
+    )
+    def test_arcs_at_real_b_match_mpmath(self, capsys, argv, want):
+        # arguments off the real axis without their conjugates, at real b: the
+        # float Euler kernel's arcs; want is perfbench/oracle.py's integral at 30 digits
+        assert main(["eval", *argv]) == 0
+        real, sign, imag = capsys.readouterr().out.splitlines()[0].split()
+        got = complex(float(real), float(sign + imag.rstrip("i")))
+        assert abs(got - want) <= 1e-12 * abs(want), got
+
     def test_fd_list_length_mismatch_is_exit_2(self, capsys):
         code = main(["eval", "fd", "--a", "1", "--bs", "0.5;0.5", "--c", "2", "--xs", "0.2;0.3;0.4"])
         assert code == 2
