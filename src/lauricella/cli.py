@@ -114,21 +114,17 @@ def _run(args: argparse.Namespace, run: Callable[[], list[EvalReport]]) -> int:
 
     --out is opened before any record runs, so a path that cannot be written
     is exit code 2 at once, as are an empty report (--filter matched nothing)
-    and a failed write.
+    and a failed write.  A write, flush or close of --out that fails is one
+    `cannot write report` line: close flushes what a failed write left.
     """
     if not args.out:
         return _finish(run(), args, None)
     try:
-        handle = open(args.out, "w")
+        with open(args.out, "w") as handle:
+            return _finish(run(), args, handle)
     except OSError as exc:
-        return _cannot_write(exc)
-    with handle:
-        return _finish(run(), args, handle)
-
-
-def _cannot_write(exc: OSError) -> int:
-    print(f"cannot write report: {exc}", file=sys.stderr)
-    return 2
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return 2
 
 
 def _finish(reports: list[EvalReport], args: argparse.Namespace, handle: Optional[TextIO]) -> int:
@@ -137,14 +133,7 @@ def _finish(reports: list[EvalReport], args: argparse.Namespace, handle: Optiona
         print(f"no record matches --filter {args.filter!r}", file=sys.stderr)
         return 2
     text = _report_json(reports) if args.format == "json" else _report_text(reports)
-    if handle is None:
-        print(text)
-    else:
-        try:
-            handle.write(text + "\n")
-            handle.flush()
-        except OSError as exc:
-            return _cannot_write(exc)
+    print(text, file=handle)
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 

@@ -391,8 +391,8 @@ def _euler_panels(points: list, bs: Sequence[complex], xs: Sequence[complex]) ->
     `_real_panel`'s, in float arithmetic, whose sample returns early when no
     argument is an arc (off the real axis without its conjugate), and
     otherwise `_complex_panel`'s.  Either finds a node's row by the node's
-    panel midpoint, u + (d_hi - d_lo)/2: u itself may have rounded onto a
-    shared boundary, the midpoint never does.
+    panel midpoint, u + (d_hi - d_lo)/2, among the cuts the quadrature
+    splits at: u itself may have rounded onto a cut, the midpoint never does.
     """
     from .quadrature import IntegrandSpec
 
@@ -411,6 +411,7 @@ def _euler_panels(points: list, bs: Sequence[complex], xs: Sequence[complex]) ->
         else:
             unpaired.append((b, x))
     boundaries = tuple(sorted(s for s, *_ in points))
+    cuts = boundaries[1:-1]
 
     rows = []
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):
@@ -433,10 +434,10 @@ def _euler_panels(points: list, bs: Sequence[complex], xs: Sequence[complex]) ->
         and all(b.imag == 0.0 and abs(x) < _SQUARE_RANGE for b, x in unpaired)
     ):
         arcs = [(-0.5 * b.real, b.real, x.real, x.imag) for b, x in unpaired]
-        g = _real_panel(boundaries, rows, pairs, arcs)
+        g = _real_panel(cuts, rows, pairs, arcs)
     else:
-        g = _complex_panel(boundaries, rows, pairs, [(_real_if_real(-b), x) for b, x in unpaired])
-    return IntegrandSpec(evaluator=g, interior_singularities=boundaries[1:-1])
+        g = _complex_panel(cuts, rows, pairs, [(_real_if_real(-b), x) for b, x in unpaired])
+    return IntegrandSpec(evaluator=g, interior_singularities=cuts)
 
 
 # A panel's integrand is exp of a sum of exponent * log(magnitude) terms: the
@@ -451,20 +452,16 @@ def _euler_panels(points: list, bs: Sequence[complex], xs: Sequence[complex]) ->
 # under the complex logarithm in `_complex_panel`.  An argument with
 # |x| >= _SQUARE_RANGE, whose |1 - x u|**2 can leave the float range, takes the
 # complex logarithm too.  Each evaluator reads its panel's row from the table
-# padded at both ends, so that bisect_right's index is the row; an integral of
-# one panel skips the bisection.
+# at bisect_right of the integrand's own interior points, the cuts the
+# quadrature splits at; an integral of one panel skips the bisection.
 
 def _panel_table(rows, phase):
-    """The rows with their turns mapped by `phase`: (table padded for bisect_right, the row or None).
-
-    The second item is the one row of an integral of one panel, and None
-    when there are more.
-    """
+    """(the rows with their turns mapped by `phase`, the one row of a one-panel integral or None)."""
     table = [(*row[:5], phase(row[5])) for row in rows]
-    return [table[0], *table, table[-1]], table[0] if len(table) == 1 else None
+    return table, table[0] if len(table) == 1 else None
 
 
-def _real_panel(boundaries, rows, pairs, arcs):
+def _real_panel(cuts, rows, pairs, arcs):
     """Real exponents, in float arithmetic: 2**(log2 sum) times the phase.
 
     ``arcs`` holds (-b/2, b, Re x, Im x) for each argument off the real axis
@@ -483,7 +480,7 @@ def _real_panel(boundaries, rows, pairs, arcs):
         table, only = _panel_table(rows, lambda turns: cmath.exp(1j * math.pi * turns) if turns != 0.0 else 1.0)
 
     def g(u: float, d_lo: float, d_hi: float) -> complex:
-        e_lo, k_lo, e_hi, k_hi, lines, phase = only or table[bisect_right(boundaries, u + 0.5 * (d_hi - d_lo))]
+        e_lo, k_lo, e_hi, k_hi, lines, phase = only or table[bisect_right(cuts, u + 0.5 * (d_hi - d_lo))]
         t = e_lo * log2(k_lo * d_lo) + e_hi * log2(k_hi * d_hi)
         for e, k0, k1 in lines:
             t += e * log2(k0 + k1 * u)
@@ -503,7 +500,7 @@ def _real_panel(boundaries, rows, pairs, arcs):
     return g
 
 
-def _complex_panel(boundaries, rows, pairs, rest):
+def _complex_panel(cuts, rows, pairs, rest):
     """Complex exponents: one cmath.exp of the log sum plus the panel's phase."""
     log2 = math.log2
     clog = cmath.log
@@ -511,7 +508,7 @@ def _complex_panel(boundaries, rows, pairs, rest):
     table, only = _panel_table(rows, lambda turns: 1j * math.pi * turns if turns != 0.0 else 0.0)
 
     def g(u: float, d_lo: float, d_hi: float) -> complex:
-        e_lo, k_lo, e_hi, k_hi, lines, phase_log = only or table[bisect_right(boundaries, u + 0.5 * (d_hi - d_lo))]
+        e_lo, k_lo, e_hi, k_hi, lines, phase_log = only or table[bisect_right(cuts, u + 0.5 * (d_hi - d_lo))]
         # the real sum as in _real_panel, inline: a shared helper costs a call per sample
         t = e_lo * log2(k_lo * d_lo) + e_hi * log2(k_hi * d_hi)
         for e, k0, k1 in lines:

@@ -30,6 +30,10 @@ precision.  Near a nonzero end x itself loses that distance to rounding
 once it falls below ~1e-16, and the nodes nearer than that round onto the
 end; an integrand singular there must take its singular factors from the
 distances, which is what lets (b-x)**beta behaviour reach the full 1e-11.
+On a panel so short that span * 5e-300 underflows to 0.0, each level drops
+the nodes whose distance to their own end, span * sigma, underflows to 0.0:
+no singular factor survives a distance of 0.0.  Every other panel keeps all
+of its nodes.
 
 Truncation: each side of a panel (the nodes towards lo and those towards hi)
 keeps a reach, the furthest |t| at which a term met the tail floor.  The
@@ -211,6 +215,7 @@ def _integrate_panel(
 ) -> tuple[complex, float, int]:
     """(value, error estimate, evaluations)."""
     span = hi - lo
+    tiny = span * _SIGMA_FLOOR == 0.0   # some nodes' distances to their own end underflow
     evaluations = 0
     level_sum = 0.0 + 0.0j      # sum of w*g over all nodes seen so far
     prev_value = value = 0.0 + 0.0j
@@ -226,6 +231,9 @@ def _integrate_panel(
         # a term below the floor moves the value by under 1e-3*tol of itself
         floor = 1e-3 * tol * abs(level_sum)
         towards_lo, towards_hi = _nodes(level)
+        if tiny:
+            towards_lo = [node for node in towards_lo if span * node[2] != 0.0]
+            towards_hi = [node for node in towards_hi if span * node[3] != 0.0]
         level_sum, reach_lo, n_lo = _sweep(
             g, towards_lo, lo, span, level_sum, reach_lo, margin, floor, first_lo if level == 0 else None
         )

@@ -158,6 +158,10 @@ class TestEval:
         assert main(["eval", "2f1", "--a", "x", "--b", "1", "--c", "1.5", "--x", "0"]) == 2
         assert "argument error" in capsys.readouterr().err
 
+    def test_three_part_value_is_exit_2(self, capsys):
+        assert main(["eval", "2f1", "--a", "1,2,3", "--b", "1", "--c", "1.5", "--x", "0.3"]) == 2
+        assert "cannot parse complex value from '1,2,3'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -395,6 +399,15 @@ class TestRunArguments:
         assert code == 2
         assert capsys.readouterr().err.startswith("cannot write report: ")
         assert ran == []
+
+    @pytest.mark.parametrize("command,filter", [("verify", "enu5-1"), ("reduce", "goursat-*")])
+    def test_full_out_device_is_exit_2(self, capsys, command, filter):
+        # the write is buffered and fails at flush; close, which flushes again, must not raise it twice
+        code = main([command, "--filter", filter, "--out", "/dev/full"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["cannot write report: [Errno 28] No space left on device"]
 
 
 class TestReduceCommand:

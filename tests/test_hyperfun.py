@@ -417,6 +417,15 @@ class TestTransformations:
         with pytest.raises(DomainError):
             fd_order_reduce(HyperSpec(1.0, (0.5, 0.5), 1.5, (0.2, 0.1)))
 
+    def test_order_reduce_needs_two_arguments(self):
+        with pytest.raises(DomainError, match="needs at least two arguments"):
+            fd_order_reduce(HyperSpec(1.0, (0.5,), 0.5, (0.2,)))
+
+    def test_order_reduce_cannot_eliminate_one(self):
+        # c = sum(bs), but the last argument is 1, where (1 - x_n)**(-a) has its pole
+        with pytest.raises(DomainError, match="cannot eliminate an argument equal to 1"):
+            fd_order_reduce(HyperSpec(1.0, (0.5, 0.5), 1.0, (0.2, 1.0)))
+
     def test_pfaff_and_order_reduction_suite(self):
         assert props.run_pfaff_and_order_reduction() >= 50
 
@@ -790,6 +799,16 @@ class TestEulerIntegrand:
         assert abs(got - want) <= 1e-13 * abs(want), (got, want)
         if real and lo == 0.0:
             assert isinstance(got, float)  # the real path, on a panel with no phase
+
+    def test_an_argument_on_the_cut_past_1e49(self):
+        # the panel [0, 1e-60] is too short for the nodes nearest its ends, which the
+        # quadrature drops; a 65-digit mpmath quadrature gives
+        # 0.004553632077576880165 - 0.0006778370638625042006i
+        got = appell_f1(1.184402046589918, 0.04703705906259942, -0.4657980153873606, 2.0654644678552105,
+                        1e60, -17.65729136464099, BranchSide.BELOW)
+        assert repr(got) == "(0.004553632077576878-0.0006778370638625041j)"
+        want = 0.004553632077576880165 - 0.0006778370638625042006j
+        assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def _float_kernel_points():

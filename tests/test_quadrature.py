@@ -101,6 +101,13 @@ class TestFiniteIntervals:
         assert abs(result.value - 2.0) < 1e-12
         assert result.error_estimate < 1e-12
 
+    @pytest.mark.parametrize("span", [1e-30, 1e-60, 1e-200])
+    def test_panel_too_short_for_its_nodes(self, span):
+        # below span = 1e-25 a node's distance to its own end can underflow to 0.0;
+        # those nodes are dropped, and the arcsine integral over [0, span] is pi
+        spec = IntegrandSpec(evaluator=lambda _x, d_lo, d_hi: d_lo ** -0.5 * d_hi ** -0.5)
+        assert integrate(spec, 0.0, span, 1e-11).value == pytest.approx(math.pi, rel=1e-14)
+
     def test_cubic_radical(self):
         def g(x, _dl, dh):
             return 1.0 / math.sqrt(dh * (1.0 + x + x * x))
